@@ -193,6 +193,7 @@ fn main() {
                     (TenantId(2), quota_noisy),
                 ],
                 epoch_retain: 4,
+                ..FleetConfig::default()
             },
         )
         .expect("fleet starts");

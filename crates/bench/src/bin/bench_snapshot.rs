@@ -1,22 +1,19 @@
 //! Snapshot-plane tracker for the sharded aggregation service: the
 //! cost of one watermark→publish→merge snapshot cycle under concurrent
-//! ingest, dense full-clone plane vs the sparse delta plane, at
-//! 1/2/4/8 shards. Writes `BENCH_snapshot.json` so snapshot-cycle cost
-//! can be compared across revisions.
+//! ingest — workers publish sparse deltas that the service folds into
+//! its materialized view — at 1/2/4/8 shards. Writes
+//! `BENCH_snapshot.json` so snapshot-cycle cost can be compared across
+//! revisions.
 //!
 //! Three families of numbers:
 //!
 //! * **Cycle throughput** (cycles/s, p50/p95/p99 µs): back-to-back
 //!   `snapshot()` calls while a producer thread keeps `ingest_batch`
 //!   saturated. The first `WARMUP` cycles per repetition are excluded
-//!   — the delta plane's first cycle replays the whole history, and
-//!   steady state is what the dashboard pays.
-//! * **Bytes per snapshot**: what each plane ships per cycle. The
-//!   delta plane's number is the measured publication bytes
-//!   (`IngestStats::delta_bytes`); the dense plane is charged the
-//!   *sparse* encoding of the full merged state — the cheapest
-//!   full-snapshot wire cost available, so the comparison is
-//!   conservative in the dense plane's favor.
+//!   — the first cycle replays the whole history, and steady state is
+//!   what the dashboard pays.
+//! * **Bytes per snapshot**: the measured delta publication bytes
+//!   (`IngestStats::delta_bytes`) per cycle.
 //! * **Wire micro-costs**: encode/decode latency and size for the
 //!   dense (JSON) and sparse (columnar) formats plus
 //!   `extract_delta`/`apply_delta`, on one real profiling run's
@@ -24,31 +21,25 @@
 //!
 //! Every cell ends with the byte-identity check: once the producer
 //! stops, a quiescent `snapshot()` must serialize identically to the
-//! `shutdown()` merge — on the delta plane that pits the
-//! incrementally-maintained materialized view against the direct
-//! shard merge, under everything the concurrent phase did to it.
+//! `shutdown()` merge — that pits the incrementally-maintained
+//! materialized view against the direct shard merge, under everything
+//! the concurrent phase did to it.
 //!
-//! Knobs, following `bench_ingest`:
-//!
-//! * `PROFILEME_SCALE` sets workload length and timed cycles,
-//!   `PROFILEME_BENCH_REPS` the repetitions per cell (best-of-N).
-//! * `PROFILEME_REQUIRE_SNAPSHOT_WINS=1` exits nonzero unless the
-//!   delta plane beats the dense plane on **both** steady-state cycle
-//!   throughput and bytes per snapshot at every multi-shard
-//!   configuration (the gate binds at ≥2 shards; 1-shard cells are
-//!   reported for context only).
+//! Knobs, following `bench_ingest`: `PROFILEME_SCALE` sets workload
+//! length and timed cycles, `PROFILEME_BENCH_REPS` the repetitions per
+//! cell (best-of-N).
 
 use profileme_bench::engine::{env, Emitter};
 use profileme_bench::scaled;
 use profileme_core::{ProfileDatabase, ProfileField, ProfileMeConfig, Sample, Session, WireFormat};
-use profileme_serve::{ServeConfig, ShardedService, SnapshotPlane};
+use profileme_serve::{ServeConfig, ShardedService};
 use profileme_workloads::{self as workloads, Workload};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Shard counts the tracker sweeps. The gate binds from 2 up.
+/// Shard counts the tracker sweeps.
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 /// Samples per `ingest_batch` call. Smaller than `bench_ingest`'s
 /// batches: the producer here models a steady tap, not a flood.
@@ -57,21 +48,19 @@ const BATCH: usize = 256;
 const QUEUE_DEPTH: usize = 64;
 /// Producer pacing between batches. A snapshot waits for every shard
 /// to drain up to its watermark, so an unpaced producer would turn
-/// each cycle into a backlog-drain measurement (identical for both
-/// planes) instead of a snapshot-cost measurement.
+/// each cycle into a backlog-drain measurement instead of a
+/// snapshot-cost measurement.
 const PACE: std::time::Duration = std::time::Duration::from_micros(100);
 /// Untimed cycles per repetition before measurement starts.
 const WARMUP: usize = 16;
 /// Loop-body no-ops of the profiled program: a ~8k-row profile
 /// database, the regime the snapshot plane is for. Per-epoch deltas
-/// touch only the rows sampled since the last cycle, while the dense
-/// plane clones and re-merges the whole image every cycle.
+/// touch only the rows sampled since the last cycle.
 const IMAGE_NOPS: usize = 8192;
 
 #[derive(Debug, Serialize)]
 struct Cell {
     workload: &'static str,
-    plane: &'static str,
     shards: usize,
     /// Timed cycles per repetition.
     cycles: u64,
@@ -87,17 +76,6 @@ struct Cell {
     /// Samples absorbed during the timed phase, mean across
     /// repetitions — the concurrent-ingest context for the cycle cost.
     ingested_per_cycle: f64,
-}
-
-/// One plane-vs-plane verdict at a multi-shard configuration.
-#[derive(Debug, Serialize)]
-struct Win {
-    workload: String,
-    shards: usize,
-    /// Delta-plane cycle throughput over dense (>1 means delta wins).
-    cycle_speedup: f64,
-    /// Delta-plane bytes per snapshot over dense (<1 means delta wins).
-    bytes_ratio: f64,
 }
 
 /// Wire-format micro-costs on one profiling run's database.
@@ -122,7 +100,6 @@ struct WireCell {
 #[derive(Debug, Serialize)]
 struct Delta {
     workload: String,
-    plane: String,
     shards: usize,
     previous_cycles_per_second: f64,
     /// Positive means this run cycles faster.
@@ -141,11 +118,6 @@ struct Report {
     cores: usize,
     cells: Vec<Cell>,
     wire: Vec<WireCell>,
-    /// Delta-vs-dense verdicts at every multi-shard configuration.
-    wins: Vec<Win>,
-    /// The delta plane won on both time and bytes at every
-    /// multi-shard configuration.
-    snapshot_wins: bool,
     /// Deltas vs the previous report, empty on a first run.
     baseline_deltas: Vec<Delta>,
 }
@@ -167,10 +139,6 @@ fn reps() -> u32 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3)
         .max(1)
-}
-
-fn require_snapshot_wins() -> bool {
-    std::env::var("PROFILEME_REQUIRE_SNAPSHOT_WINS").is_ok_and(|v| v == "1")
 }
 
 fn cores() -> usize {
@@ -203,8 +171,8 @@ fn sample_batches(w: &Workload, target: usize) -> (Arc<Vec<Vec<Sample>>>, u64) {
     (Arc::new(batches), run.db.interval())
 }
 
-/// One repetition of one cell: spin up the service on `plane`, keep a
-/// producer thread saturating ingest, run `WARMUP` untimed cycles then
+/// One repetition of one cell: spin up the service, keep a producer
+/// thread saturating ingest, run `WARMUP` untimed cycles then
 /// `cycles` timed ones, and finish with the quiescent byte-identity
 /// check. Returns (total snapshot seconds, wire bytes, samples
 /// absorbed while timed).
@@ -213,7 +181,6 @@ fn one_rep(
     batches: &Arc<Vec<Vec<Sample>>>,
     interval: u64,
     shards: usize,
-    plane: SnapshotPlane,
     cycles: u64,
     call_us: &mut Vec<f64>,
 ) -> (f64, u64, u64) {
@@ -224,7 +191,6 @@ fn one_rep(
             ServeConfig::builder()
                 .shards(shards)
                 .queue_depth(QUEUE_DEPTH)
-                .plane(plane)
                 .build()
                 .expect("config is valid"),
         )
@@ -249,37 +215,24 @@ fn one_rep(
     }
     let before = service.stats();
     let mut snap_secs = 0.0;
-    let mut bytes = 0u64;
     for _ in 0..cycles {
         let t = Instant::now();
         let snap = service.snapshot().expect("snapshot cycles under ingest");
         let elapsed = t.elapsed().as_secs_f64();
         snap_secs += elapsed;
         call_us.push(elapsed * 1e6);
-        if plane == SnapshotPlane::Dense {
-            // Untimed: charging the dense plane the *sparse* encoding
-            // of its full merged state is the cheapest full-snapshot
-            // wire cost, i.e. the comparison favors dense.
-            bytes += snap
-                .merged
-                .encode(WireFormat::Sparse)
-                .expect("snapshot serializes")
-                .len() as u64;
-        }
         std::hint::black_box(&snap);
     }
     let after = service.stats();
-    if plane == SnapshotPlane::Delta {
-        bytes = after.delta_bytes - before.delta_bytes;
-    }
+    let bytes = after.delta_bytes - before.delta_bytes;
     let ingested = (after.enqueued - after.dropped) - (before.enqueued - before.dropped);
     stop.store(true, Ordering::Relaxed);
     producer.join().expect("producer thread exits");
     // Byte-identity under everything the concurrent phase did: a
     // quiescent snapshot (the producer has stopped, so the watermark
     // covers every enqueued item) must serialize identically to the
-    // shutdown merge. On the delta plane this pits the materialized
-    // view against the direct shard merge.
+    // shutdown merge. This pits the materialized view against the
+    // direct shard merge.
     let quiescent = service.snapshot().expect("quiescent snapshot");
     let service = Arc::into_inner(service).expect("producer joined");
     let (merged, stats) = service.shutdown().expect("service drains");
@@ -291,9 +244,8 @@ fn one_rep(
         merged
             .encode(WireFormat::Sparse)
             .expect("snapshot serializes"),
-        "{} {} plane at {shards} shard(s): view diverged from direct merge",
+        "{} at {shards} shard(s): view diverged from direct merge",
         w.name,
-        plane.name(),
     );
     assert_eq!(stats.lost(), 0, "no faults injected, nothing may be lost");
     (snap_secs, bytes, ingested)
@@ -304,7 +256,6 @@ fn time_cell(
     batches: &Arc<Vec<Vec<Sample>>>,
     interval: u64,
     shards: usize,
-    plane: SnapshotPlane,
     cycles: u64,
     reps: u32,
 ) -> Cell {
@@ -314,8 +265,7 @@ fn time_cell(
     let mut bytes_sum = 0.0;
     let mut ingested_sum = 0.0;
     for rep in 0..reps {
-        let (secs, bytes, ingested) =
-            one_rep(w, batches, interval, shards, plane, cycles, &mut call_us);
+        let (secs, bytes, ingested) = one_rep(w, batches, interval, shards, cycles, &mut call_us);
         if rep == 0 {
             cold = secs;
         }
@@ -326,7 +276,6 @@ fn time_cell(
     let per_cycle = cycles as f64 * reps as f64;
     Cell {
         workload: w.name,
-        plane: plane.name(),
         shards,
         cycles,
         cycles_per_second: cycles as f64 / best,
@@ -410,10 +359,11 @@ fn wire_cell(w: &Workload, batches: &[Vec<Sample>], interval: u64) -> WireCell {
 }
 
 /// Loads the previous report's per-cell numbers for delta lines:
-/// `(workload, plane, shards) → (cycles_per_second,
-/// bytes_per_snapshot)`. Parsed loosely so reports from before a
-/// schema change still compare on the fields they have.
-type PreviousCell = (String, String, usize, f64, f64);
+/// `(workload, shards) → (cycles_per_second, bytes_per_snapshot)`.
+/// Parsed loosely so reports from before a schema change still compare
+/// on the fields they have; cells of the retired dense full-clone plane
+/// are skipped.
+type PreviousCell = (String, usize, f64, f64);
 
 fn previous_cells(path: &std::path::Path) -> Vec<PreviousCell> {
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -428,12 +378,14 @@ fn previous_cells(path: &std::path::Path) -> Vec<PreviousCell> {
     cells
         .iter()
         .filter_map(|cell| {
+            if cell.get("plane").and_then(|p| p.as_str()) == Some("dense") {
+                return None;
+            }
             let workload = cell.get("workload")?.as_str()?.to_string();
-            let plane = cell.get("plane")?.as_str()?.to_string();
             let shards = cell.get("shards")?.as_u64()? as usize;
             let rate = cell.get("cycles_per_second")?.as_f64()?;
             let bytes = cell.get("bytes_per_snapshot")?.as_f64()?;
-            Some((workload, plane, shards, rate, bytes))
+            Some((workload, shards, rate, bytes))
         })
         .collect()
 }
@@ -450,25 +402,23 @@ fn baseline_deltas(out: &Emitter, cells: &[Cell], path: &std::path::Path) -> Vec
     out.say(format!("baseline comparison ({}):", path.display()));
     let mut deltas = Vec::new();
     for cell in cells {
-        let Some((_, _, _, prev_rate, prev_bytes)) = previous
+        let Some((_, _, prev_rate, prev_bytes)) = previous
             .iter()
-            .find(|(w, p, s, _, _)| w == cell.workload && p == cell.plane && *s == cell.shards)
+            .find(|(w, s, _, _)| w == cell.workload && *s == cell.shards)
         else {
             continue;
         };
         let rate_delta = cell.cycles_per_second - prev_rate;
         let bytes_delta = cell.bytes_per_snapshot - prev_bytes;
         out.say(format!(
-            "{:>9} {:>5} {:>7}: cycle throughput delta {:+.0}/s, bytes/snapshot {:+.0}",
+            "{:>9} {:>7}: cycle throughput delta {:+.0}/s, bytes/snapshot {:+.0}",
             cell.workload,
-            cell.plane,
             format!("{}-shard", cell.shards),
             rate_delta,
             bytes_delta,
         ));
         deltas.push(Delta {
             workload: cell.workload.to_string(),
-            plane: cell.plane.to_string(),
             shards: cell.shards,
             previous_cycles_per_second: *prev_rate,
             cycles_per_second_delta: rate_delta,
@@ -483,7 +433,7 @@ fn main() {
     let baseline_path = dump_dir.join("BENCH_snapshot.json");
     let out = Emitter::with_dump_dir(Some(dump_dir));
     out.banner(
-        "Snapshot-cycle cost — delta plane vs dense full clones",
+        "Snapshot-cycle cost — sparse deltas into the materialized view",
         "repo infrastructure (not a paper figure)",
     );
     let reps = reps();
@@ -507,25 +457,22 @@ fn main() {
     out.blank();
     let mut cells = Vec::new();
     for shards in SHARDS {
-        for plane in [SnapshotPlane::Dense, SnapshotPlane::Delta] {
-            let cell = time_cell(&w, &batches, interval, shards, plane, cycles, reps);
-            out.say(format!(
-                "{:>9} {:>5} {:>7}: {:>7.0} cycles/s  p50={:.0} p95={:.0} p99={:.0}us  \
-                 {:>8.0} B/snap  {:>6.0} samples/cycle",
-                cell.workload,
-                cell.plane,
-                format!("{shards}-shard"),
-                cell.cycles_per_second,
-                cell.snapshot_p50_us,
-                cell.snapshot_p95_us,
-                cell.snapshot_p99_us,
-                cell.bytes_per_snapshot,
-                cell.ingested_per_cycle,
-            ));
-            cells.push(cell);
-        }
-        out.blank();
+        let cell = time_cell(&w, &batches, interval, shards, cycles, reps);
+        out.say(format!(
+            "{:>9} {:>7}: {:>7.0} cycles/s  p50={:.0} p95={:.0} p99={:.0}us  \
+             {:>8.0} B/snap  {:>6.0} samples/cycle",
+            cell.workload,
+            format!("{shards}-shard"),
+            cell.cycles_per_second,
+            cell.snapshot_p50_us,
+            cell.snapshot_p95_us,
+            cell.snapshot_p99_us,
+            cell.bytes_per_snapshot,
+            cell.ingested_per_cycle,
+        ));
+        cells.push(cell);
     }
+    out.blank();
     out.say("every cell's quiescent snapshot matched its shutdown merge byte-for-byte".to_string());
     let wire = vec![wire_cell(&w, &batches, interval)];
     for wc in &wire {
@@ -546,42 +493,6 @@ fn main() {
         ));
     }
     out.blank();
-    let mut wins = Vec::new();
-    for shards in SHARDS.iter().filter(|&&s| s >= 2) {
-        let find = |plane: &str| {
-            cells
-                .iter()
-                .find(|c| c.shards == *shards && c.plane == plane)
-                .expect("both planes ran at every shard count")
-        };
-        let dense = find("dense");
-        let delta = find("delta");
-        let win = Win {
-            workload: w.name.to_string(),
-            shards: *shards,
-            cycle_speedup: delta.cycles_per_second / dense.cycles_per_second,
-            bytes_ratio: delta.bytes_per_snapshot / dense.bytes_per_snapshot,
-        };
-        out.say(format!(
-            "{:>9} {:>7}: delta plane {:.2}x cycle throughput, {:.3}x bytes vs dense",
-            win.workload,
-            format!("{}-shard", win.shards),
-            win.cycle_speedup,
-            win.bytes_ratio,
-        ));
-        wins.push(win);
-    }
-    let snapshot_wins = wins
-        .iter()
-        .all(|w| w.cycle_speedup > 1.0 && w.bytes_ratio < 1.0);
-    out.say(format!(
-        "delta plane {} at every multi-shard configuration",
-        if snapshot_wins {
-            "wins on both time and bytes"
-        } else {
-            "does NOT win"
-        }
-    ));
     let deltas = baseline_deltas(&out, &cells, &baseline_path);
     out.dump(
         "BENCH_snapshot",
@@ -594,16 +505,7 @@ fn main() {
             cores,
             cells,
             wire,
-            wins,
-            snapshot_wins,
             baseline_deltas: deltas,
         },
     );
-    if require_snapshot_wins() && !snapshot_wins {
-        eprintln!(
-            "FAIL: the delta plane must beat dense full clones on both steady-state cycle \
-             time and bytes per snapshot at every multi-shard configuration"
-        );
-        std::process::exit(1);
-    }
 }

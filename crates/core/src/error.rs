@@ -37,8 +37,8 @@ pub enum ProfileError {
         what: &'static str,
     },
     /// A shard aggregator worker died and could not be recovered: it
-    /// panicked outside supervision, exhausted its recovery budget, or
-    /// failed to rebuild from its checkpoint.
+    /// exhausted its recovery budget or failed to rebuild from its
+    /// checkpoint.
     WorkerCrashed {
         /// Which shard's worker crashed.
         shard: usize,
@@ -51,16 +51,6 @@ pub enum ProfileError {
         what: &'static str,
         /// The deadline that was exceeded, in milliseconds.
         millis: u64,
-    },
-    /// The service is (or was) running below full fidelity: the
-    /// overload controller downshifted, or samples were lost to drops,
-    /// thinning, shedding, or worker crashes.
-    Degraded {
-        /// The degradation level (0 = full fidelity, 1 = sampled,
-        /// 2 = shedding).
-        level: u8,
-        /// Samples lost across all lossy paths.
-        lost: u64,
     },
     /// The durable profile store failed: an I/O error on the segment
     /// log or a snapshot image, or an on-disk layout the recovery
@@ -142,9 +132,6 @@ impl fmt::Display for ProfileError {
             ProfileError::DeadlineExceeded { what, millis } => {
                 write!(f, "`{what}` exceeded its {millis} ms deadline")
             }
-            ProfileError::Degraded { level, lost } => {
-                write!(f, "service degraded to level {level} ({lost} samples lost)")
-            }
             ProfileError::Store {
                 reason,
                 path,
@@ -201,8 +188,6 @@ mod tests {
             millis: 250,
         };
         assert!(e.to_string().contains("snapshot") && e.to_string().contains("250"));
-        let e = ProfileError::Degraded { level: 2, lost: 41 };
-        assert!(e.to_string().contains("level 2") && e.to_string().contains("41"));
         let e = ProfileError::store("segment vanished");
         assert!(e.to_string().contains("segment vanished"));
         let e = ProfileError::store_at("record CRC mismatch", "wal-00000003.seg", Some(96));

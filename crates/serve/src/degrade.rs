@@ -1,18 +1,19 @@
 //! Graceful degradation under overload: the Full → Sampled → Shed
-//! ladder, plus the jittered-backoff retry policy for lossy ingest.
+//! ladder each fleet tenant walks, plus the jittered-backoff retry
+//! policy of the fleet's producer client.
 //!
 //! The paper's delivery path (§4.3) buffers samples precisely so
 //! bursty interrupt load does not corrupt the profile; a production
 //! collector additionally needs a story for *sustained* overload. The
-//! [`OverloadController`] watches queue fill and downshifts
+//! [`OverloadController`] watches one tenant's pressure and downshifts
 //! deterministically instead of letting the daemon die:
 //!
 //! 1. **Full** — lossless ingest of whole batches (the default).
 //! 2. **Sampled** — deterministic 1-in-k thinning with the scale
-//!    factor recorded, mirroring the paper's sampling-period
-//!    reasoning in §5.1: a thinned stream is still an unbiased sample,
-//!    just at an effectively larger interval, so estimates stay
-//!    correct once multiplied by the recorded factor.
+//!    factor fixed by [`DegradeConfig::thin_k`], mirroring the paper's
+//!    sampling-period reasoning in §5.1: a thinned stream is still an
+//!    unbiased sample, just at an effectively larger interval, so
+//!    estimates stay correct once multiplied by that factor.
 //! 3. **Shed** — drop whole batches with exact accounting.
 //!
 //! Upshifts require the pressure to stay below the low-water mark for
@@ -23,13 +24,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-/// How much fidelity the ingest path is currently delivering.
+/// How much fidelity a tenant's admission is currently delivering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum DegradeLevel {
     /// Lossless: every offered batch is aggregated in full.
     Full,
-    /// 1-in-k thinning: a deterministic subsample is aggregated and
-    /// the scale factor is recorded in the stats.
+    /// 1-in-k thinning: a deterministic subsample is aggregated, with
+    /// every discarded item counted.
     Sampled,
     /// Shedding: batches are dropped whole, with exact accounting.
     Shed,
@@ -60,10 +61,10 @@ pub struct DegradeConfig {
     /// Thinning factor at [`DegradeLevel::Sampled`]: 1 sample in
     /// `thin_k` is kept.
     pub thin_k: u64,
-    /// Queue fill (percent of capacity) at or above which the
-    /// controller downshifts one level.
+    /// Pressure (percent) at or above which the controller downshifts
+    /// one level.
     pub high_water_pct: u8,
-    /// Queue fill (percent) at or below which pressure counts as
+    /// Pressure (percent) at or below which pressure counts as
     /// cleared.
     pub low_water_pct: u8,
     /// Consecutive cleared observations required before upshifting.
@@ -119,8 +120,9 @@ struct Ladder {
     calm: u32,
 }
 
-/// Watches queue pressure and moves the [`DegradeLevel`] ladder with
-/// hysteresis. Shared by all producers of one service.
+/// Watches pressure and moves the [`DegradeLevel`] ladder with
+/// hysteresis. A fleet runs one per tenant, shared by all of that
+/// tenant's producers.
 #[derive(Debug)]
 pub struct OverloadController {
     cfg: DegradeConfig,
@@ -160,8 +162,8 @@ impl OverloadController {
             .level
     }
 
-    /// Feeds one pressure observation (worst queue fill, percent of
-    /// capacity) and returns the level to apply to the batch at hand.
+    /// Feeds one pressure observation (percent, `0..=100`) and returns
+    /// the level to apply to the batch at hand.
     ///
     /// At or above the high-water mark the ladder downshifts one level
     /// immediately; upshifting one level requires `cooldown`
@@ -214,12 +216,13 @@ impl OverloadController {
     }
 }
 
-/// Jittered exponential backoff for the lossy `offer` path: rather
-/// than dropping on the first full queue, retry a bounded number of
-/// times with deterministic full jitter, then drop with accounting.
+/// Jittered exponential backoff for [`FleetClient`](crate::FleetClient)
+/// sends: rather than failing on the first refused connect or lost
+/// ack, retry a bounded number of times with deterministic full
+/// jitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Retries after the initial attempt (0 = plain `offer`).
+    /// Retries after the initial attempt (0 = a single attempt).
     pub max_retries: u32,
     /// Backoff base: retry `i` waits up to `base * 2^i`.
     pub base: Duration,

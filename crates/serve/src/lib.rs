@@ -8,10 +8,9 @@
 //! that shape in-process — and makes it survive the failures a
 //! long-running daemon actually sees:
 //!
-//! * [`ShardedService`] fans samples out to per-shard aggregator
-//!   threads behind lock-free [`RingBuffer`]s (PC-hash sharding for
-//!   per-item ingest, zero-copy round-robin for batches, backpressure
-//!   accounting via [`IngestStats`]);
+//! * [`ShardedService`] fans sample batches out to per-shard
+//!   aggregator threads behind lock-free [`RingBuffer`]s (zero-copy
+//!   round-robin routing, backpressure accounting via [`IngestStats`]);
 //! * [`ShardedService::snapshot`] runs a watermark→publish→merge cycle
 //!   whose result is **byte-identical for any shard count** — sample
 //!   aggregation is a per-PC sum, so sharding cannot change the answer
@@ -25,10 +24,10 @@
 //!   [`snapshot_deadline`](ShardedService::snapshot_deadline), and
 //!   [`shutdown_deadline`](ShardedService::shutdown_deadline) never
 //!   block past their budget, even in front of a wedged worker;
-//! * **graceful degradation** ([`DegradeConfig`]): the adaptive ingest
-//!   path watches queue pressure and walks a Full → Sampled → Shed
-//!   ladder with hysteresis instead of letting overload take the
-//!   daemon down;
+//! * **graceful degradation** ([`DegradeConfig`]): every tenant of a
+//!   [`FleetService`] walks its own Full → Sampled → Shed ladder under
+//!   its own quota pressure, with hysteresis, instead of letting
+//!   overload take the daemon down;
 //! * **deterministic fault injection** ([`FaultPlan`], behind the
 //!   `fault-injection` cargo feature): seedable panic/delay/stall
 //!   plans (`panic:shard=2:nth=3`) drive reproducible chaos tests of
@@ -98,8 +97,8 @@ pub use faults::FaultPlan;
 pub use net::{BatchAck, ClientConfig, ClientStats, FleetClient, FleetServer};
 pub use ring::{PopTimeout, RingBuffer, TryPushError};
 pub use service::{
-    pc_shard, IngestStats, ServeConfig, ServeConfigBuilder, ServeSnapshot, ShardAggregate,
-    ShardedService, SnapshotPlane, ViewIndex,
+    IngestStats, ServeConfig, ServeConfigBuilder, ServeSnapshot, ShardAggregate, ShardedService,
+    ViewIndex,
 };
 pub use store::{store_info, ProfileStore, SegmentInfo, StoreConfig, StoreInfo, StoreStats};
 pub use supervise::SuperviseConfig;
@@ -155,14 +154,6 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
-        let bad = ServeConfig {
-            degrade: DegradeConfig {
-                thin_k: 0,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -179,7 +170,7 @@ mod tests {
             )
             .unwrap();
             for s in &run.samples {
-                svc.ingest(s.clone());
+                svc.ingest_batch(vec![s.clone()]);
             }
             let snap = svc.snapshot().unwrap();
             assert_eq!(snap.seq, 1);
@@ -230,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn offer_counts_drops_when_full() {
+    fn zero_deadline_ingest_counts_drops_when_full() {
         let (run, program) = sample_run();
         let svc = ShardedService::start(
             ProfileDatabase::new(&program, run.db.interval()),
@@ -244,53 +235,19 @@ mod tests {
         let mut accepted = 0u64;
         let mut dropped = 0u64;
         for s in &run.samples {
-            if svc.offer(s.clone()) {
-                accepted += 1;
-            } else {
-                dropped += 1;
+            match svc.ingest_deadline(vec![s.clone()], Duration::ZERO) {
+                Ok(()) => accepted += 1,
+                Err(ProfileError::DeadlineExceeded { what: "ingest", .. }) => dropped += 1,
+                Err(other) => panic!("unexpected error: {other}"),
             }
         }
         let stats = svc.stats();
         assert_eq!(stats.enqueued, accepted);
         assert_eq!(stats.dropped, dropped);
+        assert_eq!(stats.deadline_misses, dropped);
         assert_eq!(accepted + dropped, run.samples.len() as u64);
-        if dropped > 0 {
-            // Losses must flip the fidelity self-check.
-            assert!(matches!(
-                svc.check_full_fidelity(),
-                Err(ProfileError::Degraded { level: 0, lost }) if lost == dropped
-            ));
-        }
-        let (final_db, _) = svc.shutdown().unwrap();
-        assert_eq!(final_db.total_samples, accepted);
-    }
-
-    #[test]
-    fn offer_with_retry_counts_retries_and_never_miscounts() {
-        let (run, program) = sample_run();
-        let svc = ShardedService::start(
-            ProfileDatabase::new(&program, run.db.interval()),
-            ServeConfig::builder()
-                .shards(1)
-                .queue_depth(1)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let policy = RetryPolicy {
-            max_retries: 3,
-            seed: 11,
-            ..Default::default()
-        };
-        let mut accepted = 0u64;
-        for s in &run.samples {
-            if svc.offer_with_retry(s.clone(), &policy) {
-                accepted += 1;
-            }
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.enqueued, accepted);
-        assert_eq!(stats.enqueued + stats.dropped, run.samples.len() as u64);
+        // Every drop is a counted loss.
+        assert_eq!(stats.lost(), dropped);
         let (final_db, _) = svc.shutdown().unwrap();
         assert_eq!(final_db.total_samples, accepted);
     }
@@ -308,37 +265,9 @@ mod tests {
         let snap = svc.snapshot_deadline(Duration::from_secs(30)).unwrap();
         assert_eq!(snap.merged.total_samples, run.samples.len() as u64);
         assert_eq!(snap.stats.deadline_misses, 0);
-        svc.check_full_fidelity().unwrap();
+        assert_eq!(snap.stats.lost(), 0);
         let (final_db, stats) = svc.shutdown_deadline(Duration::from_secs(30)).unwrap();
         assert_eq!(stats.lost(), 0);
-        assert_eq!(
-            final_db.encode(WireFormat::Sparse).unwrap(),
-            run.db.encode(WireFormat::Sparse).unwrap()
-        );
-    }
-
-    #[test]
-    fn adaptive_ingest_is_lossless_at_full_fidelity() {
-        let (run, program) = sample_run();
-        let svc = ShardedService::start(
-            ProfileDatabase::new(&program, run.db.interval()),
-            ServeConfig::builder()
-                .shards(2)
-                .queue_depth(1024)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        // Generous queues: pressure never reaches the high-water mark,
-        // so the ladder stays at Full and nothing is thinned or shed.
-        for chunk in run.samples.chunks(64) {
-            let level = svc.ingest_adaptive(chunk.to_vec());
-            assert_eq!(level, DegradeLevel::Full);
-        }
-        let (final_db, stats) = svc.shutdown().unwrap();
-        assert_eq!(stats.degrade_level, 0);
-        assert_eq!((stats.thinned, stats.shed, stats.lost()), (0, 0, 0));
-        assert_eq!(stats.thin_scale, DegradeConfig::default().thin_k);
         assert_eq!(
             final_db.encode(WireFormat::Sparse).unwrap(),
             run.db.encode(WireFormat::Sparse).unwrap()
@@ -381,86 +310,44 @@ mod tests {
     }
 
     #[test]
-    fn planes_agree_and_view_top_n_matches_scratch() {
+    fn view_top_n_matches_scratch_every_cycle() {
         use profileme_core::ProfileField;
         let (run, program) = sample_run();
-        for plane in [SnapshotPlane::Dense, SnapshotPlane::Delta] {
-            let svc = ShardedService::start(
-                ProfileDatabase::new(&program, run.db.interval()),
-                ServeConfig::builder()
-                    .shards(3)
-                    .plane(plane)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            let mut cycles = 0u64;
-            for chunk in run.samples.chunks(50) {
-                svc.ingest_batch(chunk.to_vec());
-                let snap = svc.snapshot().unwrap();
-                cycles += 1;
-                match plane {
-                    // No materialized view on the dense plane.
-                    SnapshotPlane::Dense => {
-                        assert!(svc.view_top_n(5, ProfileField::Samples).is_none());
-                    }
-                    // The incrementally maintained index answers
-                    // exactly what a from-scratch top_n computes.
-                    SnapshotPlane::Delta => {
-                        for field in [ProfileField::Samples, ProfileField::DcacheMisses] {
-                            assert_eq!(
-                                svc.view_top_n(5, field).unwrap(),
-                                snap.merged.top_n(5, field),
-                                "cycle {cycles}"
-                            );
-                        }
-                    }
-                }
-            }
-            let last = svc.snapshot().unwrap();
-            // Both planes land on bytes identical to direct aggregation.
-            assert_eq!(
-                last.merged.encode(WireFormat::Sparse).unwrap(),
-                run.db.encode(WireFormat::Sparse).unwrap(),
-                "plane {}",
-                plane.name()
-            );
-            let stats = svc.stats();
-            match plane {
-                SnapshotPlane::Dense => {
-                    assert_eq!(stats.deltas_published, 0);
-                    assert_eq!(stats.delta_bytes, 0);
-                    assert_eq!(stats.view_refreshes, 0);
-                }
-                SnapshotPlane::Delta => {
-                    // One delta per shard per cycle, one view refresh
-                    // per cycle.
-                    assert_eq!(stats.deltas_published, (cycles + 1) * 3);
-                    assert!(stats.delta_bytes > 0);
-                    assert_eq!(stats.view_refreshes, cycles + 1);
-                }
-            }
-            let (final_db, _) = svc.shutdown().unwrap();
-            assert_eq!(
-                final_db.encode(WireFormat::Sparse).unwrap(),
-                run.db.encode(WireFormat::Sparse).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn pc_shard_is_stable_and_in_range() {
-        use profileme_isa::Pc;
-        for shards in [1usize, 2, 5, 8] {
-            for addr in (0..4096u64).step_by(4) {
-                let s = pc_shard(Pc::new(addr), shards);
-                assert!(s < shards);
-                assert_eq!(s, pc_shard(Pc::new(addr), shards));
+        let svc = ShardedService::start(
+            ProfileDatabase::new(&program, run.db.interval()),
+            ServeConfig::builder().shards(3).build().unwrap(),
+        )
+        .unwrap();
+        let mut cycles = 0u64;
+        for chunk in run.samples.chunks(50) {
+            svc.ingest_batch(chunk.to_vec());
+            let snap = svc.snapshot().unwrap();
+            cycles += 1;
+            // The incrementally maintained index answers exactly what
+            // a from-scratch top_n computes.
+            for field in [ProfileField::Samples, ProfileField::DcacheMisses] {
+                assert_eq!(
+                    svc.view_top_n(5, field).unwrap(),
+                    snap.merged.top_n(5, field),
+                    "cycle {cycles}"
+                );
             }
         }
-        // The hash actually spreads a dense PC range.
-        let hits: std::collections::HashSet<_> =
-            (0..256u64).map(|i| pc_shard(Pc::new(i * 4), 8)).collect();
-        assert!(hits.len() > 1);
+        let last = svc.snapshot().unwrap();
+        // The view lands on bytes identical to direct aggregation.
+        assert_eq!(
+            last.merged.encode(WireFormat::Sparse).unwrap(),
+            run.db.encode(WireFormat::Sparse).unwrap()
+        );
+        let stats = svc.stats();
+        // One delta per shard per cycle, one view refresh per cycle.
+        assert_eq!(stats.deltas_published, (cycles + 1) * 3);
+        assert!(stats.delta_bytes > 0);
+        assert_eq!(stats.view_refreshes, cycles + 1);
+        let (final_db, _) = svc.shutdown().unwrap();
+        assert_eq!(
+            final_db.encode(WireFormat::Sparse).unwrap(),
+            run.db.encode(WireFormat::Sparse).unwrap()
+        );
     }
 }

@@ -34,9 +34,8 @@
 //!
 //! [`FleetClient`] does deadline-bounded connects
 //! ([`TcpStream::connect_timeout`]) and full-jitter exponential
-//! backoff via the existing [`RetryPolicy`] — the same policy the
-//! in-process `offer_with_retry` path uses — reconnecting and
-//! resending unacknowledged batches across a server restart.
+//! backoff via [`RetryPolicy`], reconnecting and resending
+//! unacknowledged batches across a server restart.
 
 use crate::degrade::{DegradeLevel, RetryPolicy};
 use crate::tenant::{FleetService, TenantId};
@@ -302,9 +301,9 @@ fn handle_message(
                         .insert(id.0, seq);
                     let admitted = match level {
                         DegradeLevel::Full => offered,
-                        DegradeLevel::Sampled => {
-                            offered.div_ceil(service.service().stats().thin_scale.max(1))
-                        }
+                        // The tenant's 1-in-k thinning keeps stream
+                        // positions 0, k, 2k, …
+                        DegradeLevel::Sampled => offered.div_ceil(service.degrade().thin_k),
                         DegradeLevel::Shed => 0,
                     };
                     batch_ack(seq, level, admitted, false)

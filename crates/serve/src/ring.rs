@@ -232,8 +232,8 @@ impl<T> RingBuffer<T> {
         }
     }
 
-    /// Non-blocking push: fails immediately when full or closed. The
-    /// lossy (`offer`) ingest path uses this and counts the rejections.
+    /// Non-blocking push: fails immediately when full or closed, handing
+    /// the item back.
     pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
         if self.closed.load(Ordering::Acquire) {
             return Err(TryPushError::Closed(item));

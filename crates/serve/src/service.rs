@@ -13,9 +13,8 @@
 //!    associative per PC (property-tested in `profileme-core`), so
 //!    neither the order in which samples reach a shard *nor which
 //!    shard they reach* can matter. That freedom is load-bearing:
-//!    batched ingest routes whole batches round-robin (zero routing
-//!    work, zero copies) while per-item ingest keeps PC-hash routing,
-//!    and both land on the same merged bytes.
+//!    ingest routes whole batches round-robin (zero routing work, zero
+//!    copies) and still lands on the same merged bytes.
 //! 2. The final merge folds shard databases in shard-index order on
 //!    one thread, and addition of the per-PC sums is order-insensitive
 //!    anyway.
@@ -24,18 +23,16 @@
 //! invariant across worker panics: whenever
 //! [`IngestStats::lost`] is zero, the recovered snapshot is still
 //! byte-identical to direct aggregation; when samples *were* lost —
-//! via the lossy [`offer`](ShardedService::offer) path, deadline
-//! expiry, degradation, or a twice-panicking message — every loss is
-//! counted exactly, per class, in [`IngestStats`].
+//! via deadline expiry, a crashed shard, or a twice-panicking message
+//! — every loss is counted exactly, per class, in [`IngestStats`].
 //!
 //! [`ProfileDatabase::add`]: profileme_core::ProfileDatabase::add
 
-use crate::degrade::{DegradeConfig, DegradeLevel, OverloadController, RetryPolicy};
 use crate::faults::ActiveFaults;
 use crate::ring::{RingBuffer, TryPushError};
 use crate::store::{ProfileStore, StoreConfig, StoreStats};
 use crate::supervise::{
-    run_worker, Msg, Publication, ShardCounters, SnapShared, SuperviseConfig, Work, WorkerCtx,
+    run_worker, Msg, ShardCounters, SnapShared, SuperviseConfig, Work, WorkerCtx,
 };
 use profileme_core::{
     PairProfileDatabase, PairedSample, PcProfile, ProfileDatabase, ProfileError, ProfileField,
@@ -61,8 +58,8 @@ pub trait ShardAggregate: Clone + Send + 'static {
     type Item: Send + 'static;
 
     /// The query index the service maintains over its materialized
-    /// merged view on the delta plane, refreshed with exactly the rows
-    /// each applied delta touched. Use `()` when no index is wanted.
+    /// merged view, refreshed with exactly the rows each applied delta
+    /// touched. Use `()` when no index is wanted.
     type ViewIndex: ViewIndex<Self>;
 
     /// Accumulates one item.
@@ -76,13 +73,6 @@ pub trait ShardAggregate: Clone + Send + 'static {
     /// Returns [`ProfileError::Mismatch`] if the two aggregators do not
     /// describe the same program/configuration.
     fn merge(&mut self, other: &Self) -> Result<(), ProfileError>;
-
-    /// Which of `shards` queues the item routes to. Must be a pure
-    /// function of the item, `< shards`. Used by the per-item ingest
-    /// paths; batched ingest routes whole batches round-robin instead
-    /// (any pure routing preserves the merged bytes — see the module
-    /// docs).
-    fn shard_of(item: &Self::Item, shards: usize) -> usize;
 
     /// Serializes the accumulator as a full image — used for
     /// crash-recovery checkpoints and the durable store's compaction
@@ -146,7 +136,7 @@ impl<A: ?Sized> ViewIndex<A> for () {
     fn rows_touched(&mut self, _view: &A, _rows: &[u32]) {}
 }
 
-/// [`TopNIndex`] rides the delta plane: every applied delta reports
+/// [`TopNIndex`] rides the view: every applied delta reports
 /// its touched rows, which is exactly the refresh the index needs to
 /// stay equal to a from-scratch [`ProfileDatabase::top_n`].
 ///
@@ -155,18 +145,6 @@ impl ViewIndex<ProfileDatabase> for TopNIndex {
     fn rows_touched(&mut self, view: &ProfileDatabase, rows: &[u32]) {
         self.update_rows(view, rows);
     }
-}
-
-/// PC-hash sharding: spread nearby PCs across shards via a Fibonacci
-/// multiplicative hash of the instruction address.
-pub fn pc_shard(pc: Pc, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    // Instructions are 4-byte aligned; mix the high bits down so dense
-    // PC ranges don't all land in one shard.
-    let mixed = (pc.addr() >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((mixed >> 32) as usize) % shards
 }
 
 impl ShardAggregate for ProfileDatabase {
@@ -179,11 +157,6 @@ impl ShardAggregate for ProfileDatabase {
 
     fn merge(&mut self, other: &ProfileDatabase) -> Result<(), ProfileError> {
         ProfileDatabase::merge(self, other)
-    }
-
-    fn shard_of(item: &Sample, shards: usize) -> usize {
-        // Empty selections carry no PC; give them a fixed home.
-        item.record.as_ref().map_or(0, |r| pc_shard(r.pc, shards))
     }
 
     fn checkpoint_bytes(&self) -> Result<Vec<u8>, ProfileError> {
@@ -215,16 +188,6 @@ impl ShardAggregate for PairProfileDatabase {
         PairProfileDatabase::merge(self, other)
     }
 
-    fn shard_of(item: &PairedSample, shards: usize) -> usize {
-        // A pair touches two PCs; route by the first. Any pure routing
-        // works — merge sums per-PC rows across shards regardless.
-        item.first
-            .record
-            .as_ref()
-            .or(item.second.record.as_ref())
-            .map_or(0, |r| pc_shard(r.pc, shards))
-    }
-
     fn checkpoint_bytes(&self) -> Result<Vec<u8>, ProfileError> {
         self.encode(WireFormat::Sparse)
     }
@@ -245,42 +208,6 @@ impl ShardAggregate for PairProfileDatabase {
     }
 }
 
-/// Which snapshot data plane the service runs. Both planes produce
-/// byte-identical merged snapshots; they differ only in steady-state
-/// cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub enum SnapshotPlane {
-    /// Workers publish full accumulator clones and the service
-    /// re-merges from scratch every cycle — O(program × shards) per
-    /// snapshot regardless of how little changed.
-    Dense,
-    /// Workers publish sparse deltas since their last publish and the
-    /// service folds them into an incrementally-updated materialized
-    /// view — O(rows touched since the last snapshot) per cycle.
-    #[default]
-    Delta,
-}
-
-impl SnapshotPlane {
-    /// The wire name (`"dense"` / `"delta"`), as accepted by
-    /// [`parse`](SnapshotPlane::parse).
-    pub fn name(self) -> &'static str {
-        match self {
-            SnapshotPlane::Dense => "dense",
-            SnapshotPlane::Delta => "delta",
-        }
-    }
-
-    /// Parses a wire name; `None` for anything else.
-    pub fn parse(s: &str) -> Option<SnapshotPlane> {
-        match s {
-            "dense" => Some(SnapshotPlane::Dense),
-            "delta" => Some(SnapshotPlane::Delta),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration of the sharded ingest layer.
 ///
 /// Prefer [`ServeConfig::builder`] over struct-literal construction:
@@ -297,14 +224,9 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Worker supervision: panic recovery via checkpoint + journal.
     pub supervise: SuperviseConfig,
-    /// Overload degradation ladder for the adaptive ingest path.
-    pub degrade: DegradeConfig,
-    /// Snapshot data plane: sparse deltas into a materialized view
-    /// (the default), or full clones re-merged every cycle.
-    pub plane: SnapshotPlane,
     /// Durable store: a delta WAL + compaction snapshots under a data
     /// directory, recovered on start. `None` (the default) keeps the
-    /// service purely in-memory. Requires the delta plane.
+    /// service purely in-memory.
     pub store: Option<StoreConfig>,
 }
 
@@ -314,8 +236,6 @@ impl Default for ServeConfig {
             shards: 4,
             queue_depth: 64,
             supervise: SuperviseConfig::default(),
-            degrade: DegradeConfig::default(),
-            plane: SnapshotPlane::default(),
             store: None,
         }
     }
@@ -337,9 +257,8 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Rejects zero shards, a zero queue depth, invalid supervision,
-    /// degradation, or store settings, and a store on the dense plane
-    /// (the WAL records the delta plane's publications).
+    /// Rejects zero shards, a zero queue depth, and invalid
+    /// supervision or store settings.
     pub fn validate(&self) -> Result<(), ProfileError> {
         if self.shards == 0 {
             return Err(ProfileError::config("shards", "must be at least 1 (got 0)"));
@@ -351,15 +270,8 @@ impl ServeConfig {
             ));
         }
         self.supervise.validate()?;
-        self.degrade.validate()?;
         if let Some(store) = &self.store {
             store.validate()?;
-            if self.plane != SnapshotPlane::Delta {
-                return Err(ProfileError::config(
-                    "store",
-                    "requires the delta snapshot plane (the WAL persists delta publications)",
-                ));
-            }
         }
         Ok(())
     }
@@ -402,25 +314,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Worker supervision settings. CLI: `--no-supervise` (and
-    /// friends) map onto the [`SuperviseConfig`] fields.
+    /// Worker supervision settings.
     #[must_use]
     pub fn supervise(mut self, supervise: SuperviseConfig) -> ServeConfigBuilder {
         self.cfg.supervise = supervise;
-        self
-    }
-
-    /// Overload degradation ladder. CLI: the `--degrade-*` flags.
-    #[must_use]
-    pub fn degrade(mut self, degrade: DegradeConfig) -> ServeConfigBuilder {
-        self.cfg.degrade = degrade;
-        self
-    }
-
-    /// Snapshot data plane. CLI: `--plane {dense,delta}`.
-    #[must_use]
-    pub fn plane(mut self, plane: SnapshotPlane) -> ServeConfigBuilder {
-        self.cfg.plane = plane;
         self
     }
 
@@ -447,13 +344,6 @@ impl ServeConfigBuilder {
     #[must_use]
     pub fn compact_every(mut self, compact_every: u64) -> ServeConfigBuilder {
         self.compact_every = Some(compact_every);
-        self
-    }
-
-    /// Replaces the whole store configuration at once.
-    #[must_use]
-    pub fn store(mut self, store: Option<StoreConfig>) -> ServeConfigBuilder {
-        self.cfg.store = store;
         self
     }
 
@@ -498,29 +388,25 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Backpressure, fault, and degradation accounting for the ingest
-/// layer. All counters are cumulative since service start.
+/// Backpressure and fault accounting for the ingest layer. All
+/// counters are cumulative since service start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct IngestStats {
     /// Aggregator shards.
     pub shards: usize,
     /// Items accepted onto shard rings.
     pub enqueued: u64,
-    /// Items that never reached an aggregator: lossy
-    /// [`offer`](ShardedService::offer) rejections, pushes onto a
-    /// crashed shard's closed ring, items abandoned when an
+    /// Items that never reached an aggregator: pushes onto a crashed
+    /// shard's closed ring, batches abandoned when an
     /// [`ingest_deadline`](ShardedService::ingest_deadline) expired,
     /// and items left behind in a crashed shard's ring.
     pub dropped: u64,
-    /// Backoff retries taken by
-    /// [`offer_with_retry`](ShardedService::offer_with_retry).
-    pub retried: u64,
     /// Deepest any shard ring has been, in messages.
     pub high_water: usize,
     /// Snapshot cycles served so far.
     pub snapshots: u64,
-    /// Worker panics caught by supervision (plus any that killed an
-    /// unsupervised worker).
+    /// Worker panics caught by supervision, including the one that
+    /// exhausts a shard's recovery budget.
     pub worker_panics: u64,
     /// Successful worker recoveries (checkpoint + journal rebuilds).
     pub workers_recovered: u64,
@@ -529,32 +415,14 @@ pub struct IngestStats {
     pub lost_to_panics: u64,
     /// Checkpoints taken across all shards.
     pub checkpoints: u64,
-    /// Current degradation ladder position (0 = full fidelity,
-    /// 1 = sampled, 2 = shedding).
-    pub degrade_level: u8,
-    /// Ladder downshifts so far.
-    pub downshifts: u64,
-    /// Ladder upshifts so far.
-    pub upshifts: u64,
-    /// Items discarded by deterministic 1-in-k thinning at the
-    /// `Sampled` level.
-    pub thinned: u64,
-    /// The thinning scale factor k: during `Sampled` intervals the
-    /// aggregated counts represent roughly k× the usual weight (the
-    /// paper's sampling-period reasoning — record the period, scale
-    /// the estimate).
-    pub thin_scale: u64,
-    /// Items dropped whole at the `Shed` level.
-    pub shed: u64,
     /// Deadline-bounded calls that ran out of budget.
     pub deadline_misses: u64,
-    /// Delta publications shipped through the snapshot mailboxes
-    /// (delta plane only; always 0 on the dense plane).
+    /// Delta publications shipped through the snapshot mailboxes.
     pub deltas_published: u64,
     /// Serialized bytes across those delta publications.
     pub delta_bytes: u64,
     /// Incremental refreshes applied to the merged materialized view
-    /// (one per completed delta-plane snapshot cycle).
+    /// (one per completed snapshot cycle).
     pub view_refreshes: u64,
 }
 
@@ -563,7 +431,7 @@ impl IngestStats {
     /// zero, the merged snapshot is byte-identical to direct
     /// single-threaded aggregation.
     pub fn lost(&self) -> u64 {
-        self.dropped + self.lost_to_panics + self.thinned + self.shed
+        self.dropped + self.lost_to_panics
     }
 }
 
@@ -585,7 +453,7 @@ const SNAP_WAIT_SLICE: Duration = Duration::from_millis(5);
 
 struct Shard<A: ShardAggregate> {
     ring: Arc<RingBuffer<Msg<A>>>,
-    snap: Arc<SnapShared<A>>,
+    snap: Arc<SnapShared>,
     worker: Option<JoinHandle<()>>,
     /// Receives the worker's final accumulator: a reapable result with
     /// a bounded wait, unlike `JoinHandle::join`. Behind a `Mutex` only
@@ -604,10 +472,6 @@ impl<A: ShardAggregate> Shard<A> {
         self.counters.dropped.fetch_add(items, Ordering::Relaxed);
     }
 
-    fn fill_pct(&self) -> u8 {
-        (self.ring.len() * 100 / self.ring.capacity().max(1)).min(100) as u8
-    }
-
     /// Waits (optionally bounded) for the worker's final accumulator.
     fn reap(&self, timeout: Option<Duration>) -> Result<A, mpsc::RecvTimeoutError> {
         let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
@@ -620,11 +484,11 @@ impl<A: ShardAggregate> Shard<A> {
     }
 }
 
-/// The delta plane's materialized view: the merged aggregate kept
-/// incrementally up to date by folding in each shard's published
-/// deltas, plus the query index refreshed with the touched rows —
-/// and, when configured, the durable store the same deltas are
-/// logged to before they are applied.
+/// The materialized view: the merged aggregate kept incrementally up
+/// to date by folding in each shard's published deltas, plus the query
+/// index refreshed with the touched rows — and, when configured, the
+/// durable store the same deltas are logged to before they are
+/// applied.
 struct ViewState<A: ShardAggregate> {
     merged: A,
     index: A::ViewIndex,
@@ -644,13 +508,11 @@ pub struct ShardedService<A: ShardAggregate> {
     snapshots: AtomicU64,
     deadline_misses: AtomicU64,
     view_refreshes: AtomicU64,
-    degrade: OverloadController,
     faults: Option<Arc<ActiveFaults>>,
     /// Serializes snapshot cycles so each shard has at most one
-    /// outstanding [`SnapShared`] request, and owns the delta plane's
-    /// materialized view (`None` on the dense plane). Ingest never
-    /// touches this.
-    snap_cycle: Mutex<Option<ViewState<A>>>,
+    /// outstanding [`SnapShared`] request, and owns the materialized
+    /// view. Ingest never touches this.
+    snap_cycle: Mutex<ViewState<A>>,
 }
 
 impl<A: ShardAggregate> ShardedService<A> {
@@ -693,37 +555,32 @@ impl<A: ShardAggregate> ShardedService<A> {
         faults: Option<Arc<ActiveFaults>>,
     ) -> Result<ShardedService<A>, ProfileError> {
         config.validate()?;
-        // The delta plane's view starts at the shards' shared origin:
-        // every worker's delta base begins as `empty`, so folding each
-        // published delta into this view reproduces the sum of the
-        // shard accumulators exactly. With a durable store the view
-        // additionally starts at the *recovered* state — history from
-        // previous runs the workers know nothing about — folded in
-        // through the same delta path so the query index sees every
-        // nonzero row. This happens before any worker spawns: a store
-        // that fails to open leaves no threads behind.
-        let view = if config.plane == SnapshotPlane::Delta {
-            let mut merged = empty.clone();
-            let mut index = A::ViewIndex::default();
-            let store = match &config.store {
-                None => None,
-                Some(store_cfg) => {
-                    let (store, mut recovered) =
-                        ProfileStore::open(store_cfg.clone(), empty.clone())?;
-                    let mut base = empty.clone();
-                    let history = recovered.extract_delta_bytes(&mut base)?;
-                    let rows = merged.apply_delta_bytes(&history)?;
-                    index.rows_touched(&merged, &rows);
-                    Some(store)
-                }
-            };
-            Some(ViewState {
-                merged,
-                index,
-                store,
-            })
-        } else {
-            None
+        // The view starts at the shards' shared origin: every worker's
+        // delta base begins as `empty`, so folding each published delta
+        // into this view reproduces the sum of the shard accumulators
+        // exactly. With a durable store the view additionally starts
+        // at the *recovered* state — history from previous runs the
+        // workers know nothing about — folded in through the same
+        // delta path so the query index sees every nonzero row. This
+        // happens before any worker spawns: a store that fails to open
+        // leaves no threads behind.
+        let mut merged = empty.clone();
+        let mut index = A::ViewIndex::default();
+        let store = match &config.store {
+            None => None,
+            Some(store_cfg) => {
+                let (store, mut recovered) = ProfileStore::open(store_cfg.clone(), empty.clone())?;
+                let mut base = empty.clone();
+                let history = recovered.extract_delta_bytes(&mut base)?;
+                let rows = merged.apply_delta_bytes(&history)?;
+                index.rows_touched(&merged, &rows);
+                Some(store)
+            }
+        };
+        let view = ViewState {
+            merged,
+            index,
+            store,
         };
         let shards = (0..config.shards)
             .map(|shard| {
@@ -737,7 +594,6 @@ impl<A: ShardAggregate> ShardedService<A> {
                     snap: Arc::clone(&snap),
                     empty: empty.clone(),
                     cfg: config.supervise,
-                    plane: config.plane,
                     counters: Arc::clone(&counters),
                     done: done_tx,
                     faults: faults.clone(),
@@ -757,7 +613,6 @@ impl<A: ShardAggregate> ShardedService<A> {
             snapshots: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
             view_refreshes: AtomicU64::new(0),
-            degrade: OverloadController::new(config.degrade),
             faults,
             snap_cycle: Mutex::new(view),
         })
@@ -768,10 +623,10 @@ impl<A: ShardAggregate> ShardedService<A> {
         self.shards.len()
     }
 
-    /// The next batched-ingest target: whole batches go round-robin —
-    /// the merged result is routing-independent (module docs), so the
-    /// batch path spends zero cycles partitioning and zero copies
-    /// re-bucketing samples.
+    /// The next ingest target: whole batches go round-robin — the
+    /// merged result is routing-independent (module docs), so ingest
+    /// spends zero cycles partitioning and zero copies re-bucketing
+    /// samples.
     fn next_shard(&self) -> &Shard<A> {
         let n = self.shards.len();
         if n == 1 {
@@ -780,122 +635,83 @@ impl<A: ShardAggregate> ShardedService<A> {
         &self.shards[self.rr.fetch_add(1, Ordering::Relaxed) % n]
     }
 
-    /// Lossless ingest of one item: blocks while the target shard's
-    /// ring is full (backpressure). An item bound for a crashed
-    /// shard's closed ring is counted as dropped.
-    pub fn ingest(&self, item: A::Item) {
-        let shard = &self.shards[A::shard_of(&item, self.shards.len())];
-        match shard.ring.push(Msg::Work(Work::One(item))) {
-            Ok(()) => shard.accept(1),
-            Err(_) => shard.drop_items(1),
+    /// The one push routine behind every ingest path: hands `work` to
+    /// the next round-robin shard as **one** ring message, blocking
+    /// while the ring is full — for at most `timeout` when one is
+    /// given. Returns how many items were enqueued.
+    ///
+    /// A batch that is not enqueued is dropped whole with accounting,
+    /// and its admission credit (if any) is released here: a crashed
+    /// shard's closed ring costs the batch, not an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::DeadlineExceeded`] if `timeout` ran out
+    /// in front of a full ring.
+    pub(crate) fn push(
+        &self,
+        work: Work<A>,
+        timeout: Option<Duration>,
+    ) -> Result<u64, ProfileError> {
+        let count = work.len();
+        if count == 0 {
+            return Ok(0);
         }
-    }
-
-    /// Lossy ingest of one item: returns `false` (and counts a drop)
-    /// instead of blocking when the target ring is full — the
-    /// load-shedding path a real daemon uses under overload.
-    pub fn offer(&self, item: A::Item) -> bool {
-        let shard = &self.shards[A::shard_of(&item, self.shards.len())];
-        match shard.ring.try_push(Msg::Work(Work::One(item))) {
-            Ok(()) => {
-                shard.accept(1);
-                true
-            }
-            Err(TryPushError::Full(_) | TryPushError::Closed(_)) => {
-                shard.drop_items(1);
-                false
-            }
+        let shard = self.next_shard();
+        let msg = Msg::Work(work);
+        // A rejected message comes back, with the timeout it missed
+        // (`None` for a closed ring).
+        let rejected = match timeout {
+            None => shard.ring.push(msg).err().map(|msg| (msg, None)),
+            Some(t) => match shard.ring.push_timeout(msg, t) {
+                Ok(()) => None,
+                Err(TryPushError::Full(msg)) => Some((msg, Some(t))),
+                Err(TryPushError::Closed(msg)) => Some((msg, None)),
+            },
+        };
+        let Some((msg, missed)) = rejected else {
+            shard.accept(count);
+            return Ok(count);
+        };
+        shard.drop_items(count);
+        if let Msg::Work(work) = msg {
+            work.settle();
         }
-    }
-
-    /// [`offer`](ShardedService::offer) with jittered
-    /// exponential-backoff retries: on a full ring, sleep per
-    /// `policy` and try again, up to `policy.max_retries` times, then
-    /// drop with accounting. Retries are counted per shard in
-    /// [`IngestStats::retried`].
-    pub fn offer_with_retry(&self, item: A::Item, policy: &RetryPolicy) -> bool {
-        let shard_idx = A::shard_of(&item, self.shards.len());
-        let shard = &self.shards[shard_idx];
-        let mut msg = Msg::Work(Work::One(item));
-        for attempt in 0..=policy.max_retries {
-            match shard.ring.try_push(msg) {
-                Ok(()) => {
-                    shard.accept(1);
-                    return true;
-                }
-                Err(TryPushError::Closed(_)) => {
-                    shard.drop_items(1);
-                    return false;
-                }
-                Err(TryPushError::Full(returned)) => {
-                    if attempt == policy.max_retries {
-                        shard.drop_items(1);
-                        return false;
-                    }
-                    msg = returned;
-                    shard.counters.retried.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(policy.backoff(attempt, shard_idx as u64));
-                }
-            }
-        }
-        unreachable!("the loop returns on success, close, or final retry");
+        let Some(t) = missed else {
+            return Ok(0);
+        };
+        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+        Err(ProfileError::DeadlineExceeded {
+            what: "ingest",
+            millis: t.as_millis() as u64,
+        })
     }
 
     /// Lossless batched ingest: hands the whole batch to the next
     /// round-robin shard as **one** ring message — the shape of §4.3's
-    /// buffered sample delivery. The caller's `Vec` moves straight
-    /// into the ring: no per-item routing, no partition copies (which
-    /// is what let multi-shard finally beat direct aggregation in
+    /// buffered sample delivery — blocking while that ring is full
+    /// (backpressure). The caller's `Vec` moves straight into the
+    /// ring: no per-item routing, no partition copies (which is what
+    /// let multi-shard finally beat direct aggregation in
     /// `bench_ingest`). Shard-level parallelism comes from successive
-    /// batches landing on successive shards.
+    /// batches landing on successive shards. A batch bound for a
+    /// crashed shard's closed ring is counted as dropped.
     pub fn ingest_batch(&self, items: Vec<A::Item>) {
-        if items.is_empty() {
-            return;
-        }
-        let shard = self.next_shard();
-        let count = items.len() as u64;
-        match shard.ring.push(Msg::Work(Work::Batch(items))) {
-            Ok(()) => shard.accept(count),
-            Err(_) => shard.drop_items(count),
-        }
-    }
-
-    /// Lossless batched ingest carrying an admission credit (the
-    /// multi-tenant path): `credit` was already incremented by the
-    /// batch length at admission, and the worker releases it when the
-    /// batch permanently leaves the pipeline. A batch bound for a
-    /// crashed shard's closed ring is dropped with accounting and its
-    /// credit is released here. Returns how many items were enqueued.
-    pub(crate) fn ingest_batch_credited(
-        &self,
-        items: Vec<A::Item>,
-        credit: &Arc<AtomicU64>,
-    ) -> u64 {
-        if items.is_empty() {
-            return 0;
-        }
-        let shard = self.next_shard();
-        let count = items.len() as u64;
-        match shard
-            .ring
-            .push(Msg::Work(Work::Credited(items, Arc::clone(credit))))
-        {
-            Ok(()) => {
-                shard.accept(count);
-                count
-            }
-            Err(_) => {
-                shard.drop_items(count);
-                credit.fetch_sub(count, Ordering::Relaxed);
-                0
-            }
-        }
+        // Without a timeout the push cannot miss a deadline.
+        drop(self.push(
+            Work {
+                items,
+                credit: None,
+            },
+            None,
+        ));
     }
 
     /// Deadline-bounded batched ingest: like
     /// [`ingest_batch`](ShardedService::ingest_batch), but never
     /// blocks past `timeout`. A batch that could not be enqueued
-    /// within the budget is dropped whole with accounting.
+    /// within the budget is dropped whole with accounting;
+    /// `Duration::ZERO` makes this a lossy, never-blocking ingest.
     ///
     /// # Errors
     ///
@@ -906,68 +722,20 @@ impl<A: ShardAggregate> ShardedService<A> {
         items: Vec<A::Item>,
         timeout: Duration,
     ) -> Result<(), ProfileError> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        let shard = self.next_shard();
-        let count = items.len() as u64;
-        match shard
-            .ring
-            .push_timeout(Msg::Work(Work::Batch(items)), timeout)
-        {
-            Ok(()) => {
-                shard.accept(count);
-                Ok(())
-            }
-            Err(TryPushError::Full(_)) => {
-                shard.drop_items(count);
-                self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                Err(ProfileError::DeadlineExceeded {
-                    what: "ingest",
-                    millis: timeout.as_millis() as u64,
-                })
-            }
-            // A crashed shard's closed ring: counted, not an error —
-            // mirrors the blocking path.
-            Err(TryPushError::Closed(_)) => {
-                shard.drop_items(count);
-                Ok(())
-            }
-        }
-    }
-
-    /// Adaptive ingest under the overload controller: observes ring
-    /// pressure, then delivers the batch at the resulting
-    /// [`DegradeLevel`] — in full, thinned 1-in-k with the scale
-    /// factor recorded, or shed whole with accounting. Returns the
-    /// level that was applied.
-    pub fn ingest_adaptive(&self, items: Vec<A::Item>) -> DegradeLevel {
-        let fill = self.shards.iter().map(Shard::fill_pct).max().unwrap_or(0);
-        let level = self.degrade.observe(fill);
-        match level {
-            DegradeLevel::Full => self.ingest_batch(items),
-            DegradeLevel::Sampled => {
-                let k = self.degrade.config().thin_k as usize;
-                let before = items.len();
-                // Deterministic 1-in-k thinning: keep every k-th item
-                // by stream position, independent of thread timing.
-                let kept: Vec<A::Item> = items
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(i, item)| (i % k == 0).then_some(item))
-                    .collect();
-                self.degrade.count_thinned((before - kept.len()) as u64);
-                self.ingest_batch(kept);
-            }
-            DegradeLevel::Shed => self.degrade.count_shed(items.len() as u64),
-        }
-        level
+        self.push(
+            Work {
+                items,
+                credit: None,
+            },
+            Some(timeout),
+        )
+        .map(drop)
     }
 
     /// One watermark→publish→merge snapshot cycle: each shard records
     /// the ring position enqueued so far as a watermark, and its
-    /// worker publishes a consistent accumulator clone the moment it
-    /// has processed up to that mark (see
+    /// worker publishes its delta since the previous cycle the moment
+    /// it has processed up to that mark (see
     /// [`SnapShared`](crate::supervise) for the protocol). Everything
     /// enqueued before this call is included; collection continues
     /// concurrently — ingest never waits on a snapshot.
@@ -1005,12 +773,17 @@ impl<A: ShardAggregate> ShardedService<A> {
         };
         // One cycle at a time: each shard then has at most one
         // outstanding request, which is what the two-slot mailbox is
-        // sized for. On the delta plane this guard also owns the
-        // materialized view the cycle folds deltas into.
+        // sized for. This guard also owns the materialized view the
+        // cycle folds deltas into.
         let mut cycle = self
             .snap_cycle
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        let ViewState {
+            merged,
+            index,
+            store,
+        } = &mut *cycle;
 
         // Phase 1: stamp a watermark + epoch per shard, then nudge the
         // ring so an idle (parked) worker wakes and notices.
@@ -1038,13 +811,11 @@ impl<A: ShardAggregate> ShardedService<A> {
             epochs.push(epoch);
         }
 
-        // Phase 2: await each shard's publish in shard order. Dense
-        // plane: merge the full clones from scratch. Delta plane: fold
-        // each shard's delta chunks into the materialized view — a
-        // deadline miss partway through is safe, because the applied
-        // prefix is a valid (merely earlier) view state and the
-        // unconsumed publications are carried forward by their workers.
-        let mut dense_merged: Option<A> = None;
+        // Phase 2: await each shard's publish in shard order and fold
+        // its delta chunks into the materialized view — a deadline miss
+        // partway through is safe, because the applied prefix is a
+        // valid (merely earlier) view state and the unconsumed
+        // publications are carried forward by their workers.
         for (i, shard) in self.shards.iter().enumerate() {
             let epoch = epochs[i];
             loop {
@@ -1066,52 +837,30 @@ impl<A: ShardAggregate> ShardedService<A> {
                 };
                 shard.snap.wait(slice);
             }
-            let publication = shard.snap.slots[(epoch & 1) as usize]
+            let chunks = shard.snap.slots[(epoch & 1) as usize]
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .take()
                 .expect("a published epoch always fills its slot");
-            match (cycle.as_mut(), publication) {
-                (None, Publication::Full(part)) => match &mut dense_merged {
-                    None => dense_merged = Some(part),
-                    Some(m) => m.merge(&part)?,
-                },
-                (Some(view), Publication::Delta(chunks)) => {
-                    for chunk in chunks {
-                        // WAL first: once a delta is applied to the
-                        // view it is part of every future compaction
-                        // image, so the log must already hold it for
-                        // recovery to reproduce the view exactly.
-                        if let Some(store) = view.store.as_mut() {
-                            store.append(&chunk)?;
-                        }
-                        let rows = view.merged.apply_delta_bytes(&chunk)?;
-                        view.index.rows_touched(&view.merged, &rows);
-                    }
+            for chunk in chunks {
+                // WAL first: once a delta is applied to the view it is
+                // part of every future compaction image, so the log
+                // must already hold it for recovery to reproduce the
+                // view exactly.
+                if let Some(store) = store.as_mut() {
+                    store.append(&chunk)?;
                 }
-                (Some(_), Publication::Full(_)) | (None, Publication::Delta(_)) => {
-                    unreachable!("workers publish the plane the service was configured with")
-                }
+                let rows = merged.apply_delta_bytes(&chunk)?;
+                index.rows_touched(merged, &rows);
             }
         }
-        let merged = match cycle.as_mut() {
-            None => dense_merged.expect("at least one shard"),
-            Some(view) => {
-                self.view_refreshes.fetch_add(1, Ordering::Relaxed);
-                // The view now aggregates everything appended this
-                // cycle: exactly the image the compaction invariant
-                // asks for.
-                if let ViewState {
-                    merged,
-                    store: Some(store),
-                    ..
-                } = view
-                {
-                    store.maybe_compact(merged)?;
-                }
-                view.merged.clone()
-            }
-        };
+        self.view_refreshes.fetch_add(1, Ordering::Relaxed);
+        // The view now aggregates everything appended this cycle:
+        // exactly the image the compaction invariant asks for.
+        if let Some(store) = store.as_mut() {
+            store.maybe_compact(merged)?;
+        }
+        let merged = merged.clone();
         let seq = self.snapshots.fetch_add(1, Ordering::Relaxed) + 1;
         Ok(ServeSnapshot {
             merged,
@@ -1120,39 +869,27 @@ impl<A: ShardAggregate> ShardedService<A> {
         })
     }
 
-    /// A clone of the delta plane's materialized view as of the most
-    /// recent completed snapshot cycle — including, on a durable
-    /// service, the history recovered from the store (which the
-    /// workers' own accumulators never contain). `None` on the dense
-    /// plane.
-    pub fn view_merged(&self) -> Option<A> {
-        let cycle = self
-            .snap_cycle
+    /// A clone of the materialized view as of the most recent
+    /// completed snapshot cycle — including, on a durable service, the
+    /// history recovered from the store (which the workers' own
+    /// accumulators never contain).
+    pub fn view_merged(&self) -> A {
+        self.snap_cycle
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cycle.as_ref().map(|view| view.merged.clone())
+            .unwrap_or_else(PoisonError::into_inner)
+            .merged
+            .clone()
     }
 
     /// The durable store's recovery and append counters, or `None`
     /// when the service runs without a store.
     pub fn store_stats(&self) -> Option<StoreStats> {
-        let cycle = self
-            .snap_cycle
+        self.snap_cycle
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cycle
+            .unwrap_or_else(PoisonError::into_inner)
+            .store
             .as_ref()
-            .and_then(|view| view.store.as_ref())
             .map(ProfileStore::stats)
-    }
-
-    /// Whether a durable store is attached.
-    fn has_store(&self) -> bool {
-        let cycle = self
-            .snap_cycle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cycle.as_ref().is_some_and(|view| view.store.is_some())
     }
 
     /// The error for a closed shard ring: `WorkerCrashed` if the
@@ -1167,8 +904,7 @@ impl<A: ShardAggregate> ShardedService<A> {
         }
     }
 
-    /// Current backpressure, fault, and degradation accounting across
-    /// all shards.
+    /// Current backpressure and fault accounting across all shards.
     pub fn stats(&self) -> IngestStats {
         let sum = |f: &dyn Fn(&ShardCounters) -> &AtomicU64| -> u64 {
             self.shards
@@ -1176,12 +912,10 @@ impl<A: ShardAggregate> ShardedService<A> {
                 .map(|s| f(&s.counters).load(Ordering::Relaxed))
                 .sum()
         };
-        let (downshifts, upshifts, thinned, shed) = self.degrade.counters();
         IngestStats {
             shards: self.shards.len(),
             enqueued: sum(&|c| &c.enqueued),
             dropped: sum(&|c| &c.dropped),
-            retried: sum(&|c| &c.retried),
             high_water: self
                 .shards
                 .iter()
@@ -1193,35 +927,11 @@ impl<A: ShardAggregate> ShardedService<A> {
             workers_recovered: sum(&|c| &c.recoveries),
             lost_to_panics: sum(&|c| &c.lost_to_panics),
             checkpoints: sum(&|c| &c.checkpoints),
-            degrade_level: self.degrade.level().as_u8(),
-            downshifts,
-            upshifts,
-            thinned,
-            thin_scale: self.degrade.config().thin_k,
-            shed,
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             deltas_published: sum(&|c| &c.deltas_published),
             delta_bytes: sum(&|c| &c.delta_bytes),
             view_refreshes: self.view_refreshes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Self-check for downstream gating: `Ok` only while the service
-    /// is at full fidelity with zero losses of any class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileError::Degraded`] carrying the current ladder
-    /// level and the exact loss count.
-    pub fn check_full_fidelity(&self) -> Result<(), ProfileError> {
-        let stats = self.stats();
-        if stats.degrade_level != 0 || stats.lost() > 0 {
-            return Err(ProfileError::Degraded {
-                level: stats.degrade_level,
-                lost: stats.lost(),
-            });
-        }
-        Ok(())
     }
 
     /// Closes every ring, drains the workers, and returns the final
@@ -1266,7 +976,7 @@ impl<A: ShardAggregate> ShardedService<A> {
         // after the watermark this cycle stamps — every accepted item
         // reaches the WAL. Best-effort: a crashed worker degrades this
         // to whatever the log already holds, exactly as a crash would.
-        if self.has_store() {
+        if self.store_stats().is_some() {
             let flushed = match deadline {
                 None => self.snapshot().map(drop),
                 Some(d) => self
@@ -1274,11 +984,11 @@ impl<A: ShardAggregate> ShardedService<A> {
                     .map(drop),
             };
             drop(flushed);
-            let mut cycle = self
+            let mut view = self
                 .snap_cycle
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            if let Some(store) = cycle.as_mut().and_then(|view| view.store.as_mut()) {
+            if let Some(store) = view.store.as_mut() {
                 drop(store.sync());
             }
         }
@@ -1326,15 +1036,14 @@ impl ShardedService<ProfileDatabase> {
     ///
     /// The answer reflects the most recent completed snapshot cycle
     /// (the view advances per cycle, not per ingest). Returns `None`
-    /// on the dense plane, or when `n` exceeds the index's rank depth
-    /// — fall back to [`snapshot`](ShardedService::snapshot) plus
-    /// [`ProfileDatabase::top_n`] for those.
+    /// when `n` exceeds the index's rank depth — fall back to
+    /// [`snapshot`](ShardedService::snapshot) plus
+    /// [`ProfileDatabase::top_n`] for that.
     pub fn view_top_n(&self, n: usize, field: ProfileField) -> Option<Vec<(Pc, PcProfile)>> {
-        let cycle = self
+        let view = self
             .snap_cycle
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let view = cycle.as_ref()?;
         view.index.top_n(&view.merged, n, field)
     }
 }

@@ -31,19 +31,19 @@
 //! messages. Instead each shard carries a [`SnapShared`] mailbox: the
 //! service records the ring's enqueue position as a **watermark**,
 //! bumps a request epoch, and drops a cheap [`Msg::Nudge`] into the
-//! ring so an idle (parked) worker wakes up. The worker publishes a
-//! clone of its accumulator into one of two epoch-parity slots as soon
-//! as it has processed every ring position below the watermark — the
-//! same "everything enqueued before the call is included" guarantee
-//! the old barrier gave, without ever making ingest wait on a snapshot
-//! reply channel. See [`SnapShared`] for the full protocol and its
-//! memory-ordering argument.
+//! ring so an idle (parked) worker wakes up. The worker publishes the
+//! sparse delta since its last publication into one of two
+//! epoch-parity slots as soon as it has processed every ring position
+//! below the watermark — the same "everything enqueued before the call
+//! is included" guarantee the old barrier gave, without ever making
+//! ingest wait on a snapshot reply channel. See [`SnapShared`] for the
+//! full protocol and its memory-ordering argument.
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
 
 use crate::faults::{ActiveFaults, FaultAction};
 use crate::ring::RingBuffer;
-use crate::service::{ShardAggregate, SnapshotPlane};
+use crate::service::ShardAggregate;
 use profileme_core::ProfileError;
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,22 +54,18 @@ use std::time::Duration;
 /// Configuration of the per-shard supervision layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SuperviseConfig {
-    /// Whether workers recover from panics at all. Disabled, a panic
-    /// tears the worker down (the pre-supervision behavior) and
-    /// surfaces as `WorkerCrashed`.
-    pub enabled: bool,
     /// Messages between checkpoints — also the journal's bound, and
     /// therefore the worst-case replay length on recovery.
     pub checkpoint_every: u32,
     /// Recoveries each shard may perform before giving up; a bound so
-    /// a deterministically-poisonous stream cannot spin forever.
+    /// a deterministically-poisonous stream cannot spin forever. `0`
+    /// fails the shard on its first panic.
     pub max_recoveries: u32,
 }
 
 impl Default for SuperviseConfig {
     fn default() -> SuperviseConfig {
         SuperviseConfig {
-            enabled: true,
             // Checkpoints ride the sparse columnar encoding, so they
             // cost O(touched rows) instead of a full-table serialize —
             // cheap enough to take twice as often, halving the
@@ -97,46 +93,37 @@ impl SuperviseConfig {
     }
 }
 
-/// One unit of aggregation work (the journal's entry type).
-pub(crate) enum Work<A: ShardAggregate> {
-    /// A single streamed item.
-    One(A::Item),
-    /// One buffered-delivery batch.
-    Batch(Vec<A::Item>),
-    /// A batch admitted against a queue-share credit (the multi-tenant
-    /// path): the shared counter was incremented by the batch length at
-    /// admission and [`settle`](Work::settle) releases it when the
-    /// batch permanently leaves the pipeline.
-    Credited(Vec<A::Item>, Arc<AtomicU64>),
+/// One unit of aggregation work (the journal's entry type): one
+/// buffered-delivery batch.
+pub(crate) struct Work<A: ShardAggregate> {
+    pub items: Vec<A::Item>,
+    /// The multi-tenant path's queue-share credit: the shared counter
+    /// was incremented by the batch length at admission and
+    /// [`settle`](Work::settle) releases it when the batch permanently
+    /// leaves the pipeline.
+    pub credit: Option<Arc<AtomicU64>>,
 }
 
 impl<A: ShardAggregate> Work<A> {
     pub(crate) fn len(&self) -> u64 {
-        match self {
-            Work::One(_) => 1,
-            Work::Batch(items) | Work::Credited(items, _) => items.len() as u64,
-        }
+        self.items.len() as u64
     }
 
     pub(crate) fn absorb_into(&self, acc: &mut A) {
-        match self {
-            Work::One(item) => acc.absorb(item),
-            Work::Batch(items) | Work::Credited(items, _) => {
-                items.iter().for_each(|i| acc.absorb(i));
-            }
-        }
+        self.items.iter().for_each(|i| acc.absorb(i));
     }
 
     /// Releases this work's admission credit, if it carries one.
     ///
     /// Called exactly once per message, at the moment it permanently
     /// leaves the pipeline: absorbed into the accumulator, dropped
-    /// whole after a double panic, or drained by the crash guard.
-    /// Journal replay deliberately does **not** settle — the journal's
-    /// copy is recovery bookkeeping for an absorb that already settled.
+    /// whole after a double panic or a rejected push, or drained by
+    /// the crash guard. Journal replay deliberately does **not**
+    /// settle — the journal's copy is recovery bookkeeping for an
+    /// absorb that already settled.
     pub(crate) fn settle(&self) {
-        if let Work::Credited(items, credit) = self {
-            credit.fetch_sub(items.len() as u64, Ordering::Relaxed);
+        if let Some(credit) = &self.credit {
+            credit.fetch_sub(self.len(), Ordering::Relaxed);
         }
     }
 }
@@ -151,18 +138,6 @@ pub(crate) enum Msg<A: ShardAggregate> {
     /// which is fine because watermarks only ever require processing
     /// *more* positions, never fewer.
     Nudge,
-}
-
-/// What a worker hands a snapshot requester for one epoch.
-pub(crate) enum Publication<A> {
-    /// The dense plane: a full clone of the shard accumulator.
-    Full(A),
-    /// The delta plane: sparse delta chunks, oldest first, together
-    /// covering everything the shard absorbed since the last chunk a
-    /// requester actually consumed. Usually one chunk; more when the
-    /// worker carried forward chunks from abandoned deadline epochs
-    /// (see [`maybe_publish`]).
-    Delta(Vec<Vec<u8>>),
 }
 
 /// The per-shard snapshot mailbox: how a consistent accumulator view
@@ -180,9 +155,8 @@ pub(crate) enum Publication<A> {
 /// 2. After every message it finishes, the worker checks: if
 ///    `requested` names an epoch it has not published and its count of
 ///    processed ring positions has reached `watermark`, it publishes
-///    into `slots[epoch & 1]` — a full accumulator clone on the dense
-///    plane, or the sparse delta since its last publish on the delta
-///    plane — and stores `published = epoch`.
+///    the sparse delta since its last publish into `slots[epoch & 1]`
+///    and stores `published = epoch`.
 /// 3. The requester waits on `cv` until `published >= epoch` (or the
 ///    shard crashes), then takes `slots[epoch & 1]`.
 ///
@@ -196,14 +170,14 @@ pub(crate) enum Publication<A> {
 /// its fresh one (same thread), and the requester only reads after
 /// observing `published >= epoch`, which the fresh write precedes.
 ///
-/// On the delta plane an abandoned publication is not merely stale —
-/// it is the *only* copy of that span of the shard's history (the
-/// worker's delta base has already moved past it). So before
-/// publishing a fresh epoch the worker sweeps **both** slots and
-/// carries any unconsumed delta chunks into the new publication, ahead
-/// of the fresh chunk. The sweep cannot race a reader: cycles are
-/// serialized, and a slot is only swept while its epoch is either
-/// already consumed (empty) or permanently abandoned.
+/// An abandoned publication is not merely stale — it is the *only*
+/// copy of that span of the shard's history (the worker's delta base
+/// has already moved past it). So before publishing a fresh epoch the
+/// worker sweeps **both** slots and carries any unconsumed delta
+/// chunks into the new publication, ahead of the fresh chunk. The
+/// sweep cannot race a reader: cycles are serialized, and a slot is
+/// only swept while its epoch is either already consumed (empty) or
+/// permanently abandoned.
 ///
 /// # Memory ordering
 ///
@@ -215,22 +189,27 @@ pub(crate) enum Publication<A> {
 /// after the write. `crashed` (in [`ShardCounters`]) uses
 /// Release/Acquire so a requester that sees it also sees the drained
 /// ring.
-pub(crate) struct SnapShared<A> {
+pub(crate) struct SnapShared {
     /// Epoch of the most recent snapshot request (0 = never).
     pub requested: AtomicU64,
     /// Ring enqueue position the current request must cover.
     pub watermark: AtomicU64,
     /// Epoch of the most recent publish (0 = never).
     pub published: AtomicU64,
-    /// Double buffer, indexed by `epoch & 1`.
-    pub slots: [Mutex<Option<Publication<A>>>; 2],
+    /// Double buffer, indexed by `epoch & 1`. A publication is a list
+    /// of sparse delta chunks, oldest first, together covering
+    /// everything the shard absorbed since the last chunk a requester
+    /// actually consumed. Usually one chunk; more when the worker
+    /// carried forward chunks from abandoned deadline epochs (see
+    /// [`maybe_publish`]).
+    pub slots: [Mutex<Option<Vec<Vec<u8>>>>; 2],
     /// Requesters park here; the worker (or the crash guard) notifies.
     pub gate: Mutex<()>,
     pub cv: Condvar,
 }
 
-impl<A> SnapShared<A> {
-    pub(crate) fn new() -> SnapShared<A> {
+impl SnapShared {
+    pub(crate) fn new() -> SnapShared {
         SnapShared {
             requested: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
@@ -264,7 +243,6 @@ impl<A> SnapShared<A> {
 pub(crate) struct ShardCounters {
     pub enqueued: AtomicU64,
     pub dropped: AtomicU64,
-    pub retried: AtomicU64,
     pub panics: AtomicU64,
     pub recoveries: AtomicU64,
     pub lost_to_panics: AtomicU64,
@@ -282,11 +260,9 @@ pub(crate) struct ShardCounters {
 pub(crate) struct WorkerCtx<A: ShardAggregate> {
     pub shard: usize,
     pub ring: Arc<RingBuffer<Msg<A>>>,
-    pub snap: Arc<SnapShared<A>>,
+    pub snap: Arc<SnapShared>,
     pub empty: A,
     pub cfg: SuperviseConfig,
-    /// Which publication kind this worker ships at snapshot epochs.
-    pub plane: SnapshotPlane,
     pub counters: Arc<ShardCounters>,
     /// The final accumulator travels back over this channel so the
     /// service can reap results with a bounded wait (a bare
@@ -340,14 +316,14 @@ fn rebuild<A: ShardAggregate>(
 }
 
 /// Marks the shard crashed and closes its ring on any abnormal worker
-/// exit — an explicit give-up *or* a panic unwinding the thread (the
-/// unsupervised path) — so producers unblock and `snapshot`/`shutdown`
+/// exit — an explicit give-up *or* a panic unwinding the thread — so
+/// producers unblock and `snapshot`/`shutdown`
 /// surface `WorkerCrashed` instead of hanging on a reply no one will
 /// ever publish.
 struct CrashGuard<'a, A: ShardAggregate> {
     counters: &'a ShardCounters,
     ring: &'a RingBuffer<Msg<A>>,
-    snap: &'a SnapShared<A>,
+    snap: &'a SnapShared,
     armed: bool,
 }
 
@@ -386,14 +362,13 @@ impl<A: ShardAggregate> Drop for CrashGuard<'_, A> {
 /// watermark has been reached. `processed` counts ring positions this
 /// worker has fully handled.
 ///
-/// Dense plane (`base` is `None`): a full accumulator clone. Delta
-/// plane: the sparse delta since `base` — O(touched rows) — prefixed
-/// by any unconsumed chunks swept from abandoned epochs (see
-/// [`SnapShared`]'s "why two slots").
+/// The publication is the sparse delta since `base` — O(touched rows)
+/// — prefixed by any unconsumed chunks swept from abandoned epochs
+/// (see [`SnapShared`]'s "why two slots").
 fn maybe_publish<A: ShardAggregate>(
     ctx: &WorkerCtx<A>,
     acc: &mut A,
-    base: &mut Option<A>,
+    base: &mut A,
     processed: u64,
     last_published: &mut u64,
 ) {
@@ -402,39 +377,33 @@ fn maybe_publish<A: ShardAggregate>(
     if req == *last_published || processed < snap.watermark.load(Ordering::Acquire) {
         return;
     }
-    let publication = match base {
-        None => Publication::Full(acc.clone()),
-        Some(base) => {
-            // Sweep both parity slots for abandoned, never-consumed
-            // chunks — they are the only copy of their history span.
-            let mut chunks: Vec<Vec<u8>> = Vec::with_capacity(1);
-            for slot in &snap.slots {
-                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(Publication::Delta(stale)) = slot.take() {
-                    chunks.extend(stale);
-                }
-            }
-            // Infallible by construction: the base only ever advances
-            // by syncing to the accumulator, so every counter diff is
-            // non-negative and the headers always match.
-            let chunk = acc
-                .extract_delta_bytes(base)
-                .expect("delta base is a past state of this accumulator");
-            ctx.counters
-                .deltas_published
-                .fetch_add(1, Ordering::Relaxed);
-            ctx.counters
-                .delta_bytes
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            chunks.push(chunk);
-            Publication::Delta(chunks)
+    // Sweep both parity slots for abandoned, never-consumed chunks —
+    // they are the only copy of their history span.
+    let mut chunks: Vec<Vec<u8>> = Vec::with_capacity(1);
+    for slot in &snap.slots {
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(stale) = slot.take() {
+            chunks.extend(stale);
         }
-    };
+    }
+    // Infallible by construction: the base only ever advances by
+    // syncing to the accumulator, so every counter diff is
+    // non-negative and the headers always match.
+    let chunk = acc
+        .extract_delta_bytes(base)
+        .expect("delta base is a past state of this accumulator");
+    ctx.counters
+        .deltas_published
+        .fetch_add(1, Ordering::Relaxed);
+    ctx.counters
+        .delta_bytes
+        .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+    chunks.push(chunk);
     {
         let mut slot = snap.slots[(req & 1) as usize]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        *slot = Some(publication);
+        *slot = Some(chunks);
     }
     snap.published.store(req, Ordering::Release);
     *last_published = req;
@@ -452,9 +421,9 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
         armed: true,
     };
     let mut acc = ctx.empty.clone();
-    // Delta plane: the accumulator state as of the last delta this
-    // worker shipped. `extract_delta_bytes` advances it in O(touched).
-    let mut base = (ctx.plane == SnapshotPlane::Delta).then(|| ctx.empty.clone());
+    // The accumulator state as of the last delta this worker shipped.
+    // `extract_delta_bytes` advances it in O(touched).
+    let mut base = ctx.empty.clone();
     let mut checkpoint: Option<Vec<u8>> = None;
     let mut journal: Vec<Work<A>> = Vec::new();
     let mut since_checkpoint = 0u32;
@@ -476,18 +445,6 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
         // One fault index per message: a retry of the same message
         // re-evaluates the same index, so one-shot faults stay one-shot.
         let fault_idx = ctx.faults.as_ref().map(|f| f.next_message(ctx.shard));
-
-        if !ctx.cfg.enabled {
-            // Unsupervised: let the panic tear the thread down. The
-            // crash guard runs during the unwind and the service
-            // reports `WorkerCrashed`.
-            apply_fault(&ctx, fault_idx);
-            work.absorb_into(&mut acc);
-            work.settle();
-            processed += 1;
-            maybe_publish(&ctx, &mut acc, &mut base, processed, &mut last_published);
-            continue;
-        }
 
         let mut absorbed = false;
         for _attempt in 0..2 {

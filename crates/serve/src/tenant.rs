@@ -29,9 +29,9 @@
 //! dropped after a double panic, or drained by the crash guard), so
 //! `inflight` is exact even across injected worker crashes.
 
-use crate::degrade::{DegradeLevel, OverloadController};
-use crate::faults::mix64;
+use crate::degrade::{DegradeConfig, DegradeLevel, OverloadController};
 use crate::service::{IngestStats, ServeConfig, ShardAggregate, ShardedService};
+use crate::supervise::Work;
 use profileme_core::{ProfileDatabase, ProfileError};
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -303,16 +303,6 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         Ok(())
     }
 
-    fn shard_of(item: &Self::Item, shards: usize) -> usize {
-        // Tenant-home routing: a tenant's per-item stream lands on one
-        // shard. Any pure routing preserves the merged bytes; keeping
-        // tenants together merely improves locality.
-        if shards <= 1 {
-            return 0;
-        }
-        (mix64(u64::from(item.0 .0)) as usize) % shards
-    }
-
     fn checkpoint_bytes(&self) -> Result<Vec<u8>, ProfileError> {
         let mut out = Vec::new();
         out.extend_from_slice(TENANT_CHECKPOINT_MAGIC);
@@ -510,13 +500,17 @@ impl TenantState {
     }
 }
 
-/// Configuration of the multi-tenant layer: who the tenants are and
-/// how much snapshot history to retain.
+/// Configuration of the multi-tenant layer: who the tenants are, the
+/// degradation ladder each of them runs, and how much snapshot history
+/// to retain.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// The registered tenants and their quotas. Samples for an
     /// unregistered tenant are rejected at admission.
     pub tenants: Vec<(TenantId, TenantQuota)>,
+    /// The Full→Sampled→Shed ladder every tenant walks under its own
+    /// pressure.
+    pub degrade: DegradeConfig,
     /// Snapshots retained in the epoch ring for time-windowed deltas.
     pub epoch_retain: usize,
 }
@@ -525,6 +519,7 @@ impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             tenants: Vec::new(),
+            degrade: DegradeConfig::default(),
             epoch_retain: 8,
         }
     }
@@ -535,7 +530,7 @@ impl FleetConfig {
     pub fn uniform(n: u32, quota: TenantQuota) -> FleetConfig {
         FleetConfig {
             tenants: (0..n).map(|i| (TenantId(i), quota)).collect(),
-            epoch_retain: 8,
+            ..FleetConfig::default()
         }
     }
 
@@ -543,8 +538,8 @@ impl FleetConfig {
     ///
     /// # Errors
     ///
-    /// Rejects an empty tenant list, duplicate tenant ids, and any
-    /// invalid quota.
+    /// Rejects an empty tenant list, duplicate tenant ids, any invalid
+    /// quota, and an invalid ladder.
     pub fn validate(&self) -> Result<(), ProfileError> {
         if self.tenants.is_empty() {
             return Err(ProfileError::config(
@@ -560,7 +555,7 @@ impl FleetConfig {
         for (_, quota) in &self.tenants {
             quota.validate()?;
         }
-        Ok(())
+        self.degrade.validate()
     }
 }
 
@@ -636,6 +631,8 @@ pub struct FleetService<A: ShardAggregate> {
     inner: ShardedService<Tenanted<A>>,
     /// Sorted by tenant id; fixed at start, so lookups are lock-free.
     tenants: Vec<TenantState>,
+    /// The ladder configuration every tenant runs.
+    degrade: DegradeConfig,
     epochs: Mutex<EpochRing<Tenanted<A>>>,
     /// The admission clock's epoch: buckets measure time as
     /// nanoseconds since service start.
@@ -656,9 +653,8 @@ impl<A: ShardAggregate> FleetService<A> {
         fleet: FleetConfig,
     ) -> Result<FleetService<A>, ProfileError> {
         fleet.validate()?;
-        let degrade = config.degrade;
         let inner = ShardedService::start(Tenanted::new(proto), config)?;
-        Ok(FleetService::assemble(inner, fleet, degrade))
+        Ok(FleetService::assemble(inner, fleet))
     }
 
     /// [`start`](FleetService::start) with a deterministic
@@ -676,16 +672,11 @@ impl<A: ShardAggregate> FleetService<A> {
         plan: crate::faults::FaultPlan,
     ) -> Result<FleetService<A>, ProfileError> {
         fleet.validate()?;
-        let degrade = config.degrade;
         let inner = ShardedService::start_with_faults(Tenanted::new(proto), config, plan)?;
-        Ok(FleetService::assemble(inner, fleet, degrade))
+        Ok(FleetService::assemble(inner, fleet))
     }
 
-    fn assemble(
-        inner: ShardedService<Tenanted<A>>,
-        fleet: FleetConfig,
-        degrade: crate::degrade::DegradeConfig,
-    ) -> FleetService<A> {
+    fn assemble(inner: ShardedService<Tenanted<A>>, fleet: FleetConfig) -> FleetService<A> {
         let started = Instant::now();
         let mut tenants: Vec<TenantState> = fleet
             .tenants
@@ -694,7 +685,7 @@ impl<A: ShardAggregate> FleetService<A> {
                 id,
                 quota,
                 bucket: Mutex::new(TokenBucket::new(quota, 0)),
-                ladder: OverloadController::new(degrade),
+                ladder: OverloadController::new(fleet.degrade),
                 inflight: Arc::new(AtomicU64::new(0)),
                 offered: AtomicU64::new(0),
                 accepted: AtomicU64::new(0),
@@ -704,6 +695,7 @@ impl<A: ShardAggregate> FleetService<A> {
         FleetService {
             inner,
             tenants,
+            degrade: fleet.degrade,
             epochs: Mutex::new(EpochRing::new(fleet.epoch_retain)),
             started,
         }
@@ -749,8 +741,8 @@ impl<A: ShardAggregate> FleetService<A> {
             DegradeLevel::Sampled => {
                 let k = state.ladder.config().thin_k as usize;
                 let before = items.len();
-                // Deterministic 1-in-k thinning by stream position —
-                // the same rule the single-tenant adaptive path uses.
+                // Deterministic 1-in-k thinning by stream position,
+                // independent of thread timing.
                 let kept: Vec<A::Item> = items
                     .into_iter()
                     .enumerate()
@@ -781,10 +773,15 @@ impl<A: ShardAggregate> FleetService<A> {
             items.into_iter().map(|item| (state.id, item)).collect();
         // Raise the credit before the push: the worker may settle the
         // batch the instant it lands, and the counter must never
-        // underflow. A rejected push (crashed shard) is unwound by
-        // `ingest_batch_credited` itself.
+        // underflow. A rejected push (crashed shard) releases the
+        // credit itself.
         state.inflight.fetch_add(n, Ordering::Relaxed);
-        let accepted = self.inner.ingest_batch_credited(tagged, &state.inflight);
+        let work = Work {
+            items: tagged,
+            credit: Some(Arc::clone(&state.inflight)),
+        };
+        // Without a timeout the push cannot miss a deadline.
+        let accepted = self.inner.push(work, None).unwrap_or(0);
         state.accepted.fetch_add(accepted, Ordering::Relaxed);
     }
 
@@ -854,6 +851,12 @@ impl<A: ShardAggregate> FleetService<A> {
             service: self.inner.stats(),
             tenants,
         }
+    }
+
+    /// The ladder configuration every tenant runs
+    /// ([`FleetConfig::degrade`]).
+    pub(crate) fn degrade(&self) -> DegradeConfig {
+        self.degrade
     }
 
     /// The current ladder level for one tenant.

@@ -21,7 +21,10 @@ use profileme_core::{
     PairProfileDatabase, PairedConfig, ProfileDatabase, ProfileError, ProfileMeConfig, Session,
     WireFormat,
 };
-use profileme_serve::{FaultPlan, ServeConfig, ShardedService, SuperviseConfig};
+use profileme_serve::{
+    FaultPlan, FleetConfig, FleetService, ServeConfig, ShardedService, SuperviseConfig, TenantId,
+    TenantQuota,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -123,7 +126,7 @@ fn recovery_replays_checkpoint_plus_journal() {
         },
     );
     for sample in &s.samples {
-        svc.ingest(sample.clone());
+        svc.ingest_batch(vec![sample.clone()]);
     }
     let (merged, stats) = svc.shutdown().expect("service drains");
     assert_eq!(stats.worker_panics, 3);
@@ -190,7 +193,7 @@ fn recurring_panics_drop_with_exact_accounting() {
     let s = single_stream();
     let svc = service_with("panic:every=5", 1, SuperviseConfig::default());
     for sample in &s.samples {
-        svc.ingest(sample.clone());
+        svc.ingest_batch(vec![sample.clone()]);
     }
     let (merged, stats) = svc.shutdown().expect("service drains");
     let expected_lost = s.samples.len() as u64 / 5;
@@ -198,53 +201,72 @@ fn recurring_panics_drop_with_exact_accounting() {
     assert_eq!(stats.worker_panics, 2 * expected_lost, "initial + retry");
     assert_eq!(stats.workers_recovered, 2 * expected_lost);
     assert_eq!(merged.total_samples, stats.enqueued - stats.lost_to_panics);
-    assert!(matches!(
-        svc_err(&stats),
-        ProfileError::Degraded { level: 0, lost } if lost == expected_lost
-    ));
+    assert_eq!(stats.lost(), expected_lost, "every loss is counted");
 }
 
-/// Reconstructs the fidelity-check error from final stats (the service
-/// is consumed by shutdown, so the check runs on a fresh equivalent).
-fn svc_err(stats: &profileme_serve::IngestStats) -> ProfileError {
-    ProfileError::Degraded {
-        level: stats.degrade_level,
-        lost: stats.lost(),
-    }
-}
-
-/// With supervision disabled a panic kills the worker — and the crash
-/// guard still fails the shard loudly instead of hanging callers.
-#[test]
-fn unsupervised_panic_surfaces_worker_crashed() {
-    let s = single_stream();
-    let svc = service_with(
-        "panic:shard=0:nth=1",
-        1,
-        SuperviseConfig {
-            enabled: false,
-            ..SuperviseConfig::default()
-        },
-    );
-    svc.ingest(s.samples[0].clone());
-    // The worker dies on that message; wait for the crash guard to
-    // close the queue, then every path reports the crash.
+/// Snapshots until the crash guard has failed shard 0.
+fn await_crash(mut snapshot: impl FnMut() -> Result<(), ProfileError>) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match svc.snapshot() {
-            Err(ProfileError::WorkerCrashed { shard: 0 }) => break,
+        match snapshot() {
+            Err(ProfileError::WorkerCrashed { shard: 0 }) => return,
             Err(other) => panic!("unexpected error: {other}"),
-            Ok(_) => {
+            Ok(()) => {
                 assert!(Instant::now() < deadline, "worker never crashed");
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
     }
+}
+
+/// A zero recovery budget fails the shard on its first panic: the
+/// panic is counted, the crash guard fails the shard loudly instead of
+/// hanging callers, and a fleet batch's in-flight credit is released.
+#[test]
+fn zero_recovery_budget_surfaces_worker_crashed() {
+    let s = single_stream();
+    let budget = SuperviseConfig {
+        max_recoveries: 0,
+        ..SuperviseConfig::default()
+    };
+    let svc = service_with("panic:shard=0:nth=1", 1, budget);
+    svc.ingest_batch(vec![s.samples[0].clone()]);
+    // The worker dies on that message; every path reports the crash.
+    await_crash(|| svc.snapshot().map(drop));
+    assert_eq!(svc.stats().worker_panics, 1, "the fatal panic is counted");
     // Ingest onto the dead shard is counted, not lost silently.
-    svc.ingest(s.samples[1].clone());
+    svc.ingest_batch(vec![s.samples[1].clone()]);
     assert!(svc.stats().dropped >= 1);
     assert!(matches!(
         svc.shutdown(),
+        Err(ProfileError::WorkerCrashed { shard: 0 })
+    ));
+
+    // The same crash under a one-tenant fleet settles the batch's
+    // queue-share credit.
+    let fleet = FleetService::start_with_faults(
+        ProfileDatabase::new(&s.program, s.interval),
+        ServeConfig::builder()
+            .shards(1)
+            .supervise(budget)
+            .build()
+            .expect("config is valid"),
+        FleetConfig::uniform(1, TenantQuota::default()),
+        FaultPlan::parse("panic:shard=0:nth=1").expect("plan parses"),
+    )
+    .expect("fleet starts");
+    fleet
+        .ingest_batch(TenantId(0), s.samples[..50].to_vec())
+        .expect("tenant is registered");
+    await_crash(|| fleet.snapshot().map(drop));
+    let stats = fleet.stats();
+    assert_eq!(stats.service.worker_panics, 1);
+    assert_eq!(
+        stats.tenants[0].inflight, 0,
+        "the crashed batch released its credit"
+    );
+    assert!(matches!(
+        fleet.shutdown(),
         Err(ProfileError::WorkerCrashed { shard: 0 })
     ));
 }
@@ -262,7 +284,7 @@ fn exhausted_recovery_budget_crashes_the_shard() {
         },
     );
     for sample in s.samples.iter().take(50) {
-        svc.ingest(sample.clone());
+        svc.ingest_batch(vec![sample.clone()]);
     }
     let err = svc.shutdown().expect_err("the shard must crash");
     assert!(matches!(err, ProfileError::WorkerCrashed { shard: 0 }));
@@ -277,9 +299,15 @@ fn deadlines_hold_against_a_stalled_worker() {
     // The worker stalls on its first message. Fill the queue twice
     // (it frees at most one slot by popping that message) so every
     // subsequent push faces a full queue forever.
-    while svc.offer(s.samples[0].clone()) {}
+    let fill = || {
+        while svc
+            .ingest_deadline(vec![s.samples[0].clone()], Duration::ZERO)
+            .is_ok()
+        {}
+    };
+    fill();
     std::thread::sleep(Duration::from_millis(50));
-    while svc.offer(s.samples[0].clone()) {}
+    fill();
 
     let start = Instant::now();
     let err = svc
@@ -373,7 +401,6 @@ proptest! {
             SuperviseConfig {
                 checkpoint_every: 8,
                 max_recoveries: 1_000_000,
-                ..SuperviseConfig::default()
             },
         );
         for batch in s.samples.chunks(chunk) {

@@ -14,12 +14,15 @@
 //!   and evict oldest-first.
 //! * **TCP front-end** — a producer client survives a server stop and
 //!   restart via retry/backoff, and no acknowledged sample is lost
-//!   across the restart (the durable store carries acked history).
+//!   across the restart (the durable store carries acked history);
+//!   acks of thinned and shed batches report exactly what the tenant's
+//!   ladder admitted.
 
 use profileme_core::{ProfileDatabase, ProfileMeConfig, Sample, Session, WireFormat};
 use profileme_serve::{
-    ClientConfig, DegradeLevel, FleetClient, FleetConfig, FleetServer, FleetService, ProfileStore,
-    RetryPolicy, ServeConfig, ShardAggregate, TenantId, TenantQuota, Tenanted,
+    ClientConfig, DegradeConfig, DegradeLevel, FleetClient, FleetConfig, FleetServer, FleetService,
+    FleetStats, ProfileStore, RetryPolicy, ServeConfig, ShardAggregate, TenantId, TenantQuota,
+    Tenanted,
 };
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -100,7 +103,7 @@ fn fleet_config(noisy_burst: u64) -> FleetConfig {
             (TenantId(1), unmetered()),
             (TenantId(2), tight(noisy_burst)),
         ],
-        epoch_retain: 8,
+        ..FleetConfig::default()
     }
 }
 
@@ -249,7 +252,7 @@ fn unregistered_tenants_and_bad_configs_are_rejected() {
             (TenantId(1), TenantQuota::default()),
             (TenantId(1), TenantQuota::default()),
         ],
-        epoch_retain: 2,
+        ..FleetConfig::default()
     };
     assert!(dup.validate().is_err(), "duplicate ids are rejected");
     let zero = FleetConfig {
@@ -260,9 +263,20 @@ fn unregistered_tenants_and_bad_configs_are_rejected() {
                 ..TenantQuota::default()
             },
         )],
-        epoch_retain: 2,
+        ..FleetConfig::default()
     };
     assert!(zero.validate().is_err(), "a zero rate is rejected");
+    let zero_k = FleetConfig {
+        degrade: DegradeConfig {
+            thin_k: 0,
+            ..DegradeConfig::default()
+        },
+        ..FleetConfig::uniform(1, TenantQuota::default())
+    };
+    assert!(
+        zero_k.validate().is_err(),
+        "a zero thinning factor is rejected"
+    );
 }
 
 #[test]
@@ -322,6 +336,7 @@ fn epoch_ring_answers_tenant_windows_and_evicts_oldest() {
         FleetConfig {
             tenants: vec![(TenantId(0), unmetered()), (TenantId(1), unmetered())],
             epoch_retain: 2,
+            ..FleetConfig::default()
         },
     )
     .expect("fleet starts");
@@ -377,6 +392,7 @@ fn epoch_ring_answers_tenant_windows_and_evicts_oldest() {
 fn spawn_server(
     addr: &str,
     dir: &std::path::Path,
+    fleet: FleetConfig,
 ) -> (
     Arc<FleetService<ProfileDatabase>>,
     Arc<std::sync::atomic::AtomicBool>,
@@ -391,7 +407,7 @@ fn spawn_server(
                 .data_dir(dir)
                 .build()
                 .unwrap(),
-            FleetConfig::uniform(2, unmetered()),
+            fleet,
         )
         .expect("fleet starts"),
     );
@@ -413,16 +429,17 @@ fn spawn_server(
     (svc, stop, handle, local)
 }
 
+/// Stops the server, drains the fleet, and returns its final stats.
 fn stop_server(
     svc: Arc<FleetService<ProfileDatabase>>,
     stop: &std::sync::atomic::AtomicBool,
     handle: std::thread::JoinHandle<()>,
-) {
+) -> FleetStats {
     stop.store(true, Ordering::Release);
     handle.join().expect("accept loop exits cleanly");
     let svc = Arc::try_unwrap(svc)
         .unwrap_or_else(|_| panic!("service still shared after the server stopped"));
-    drop(svc.shutdown().expect("fleet drains"));
+    svc.shutdown().expect("fleet drains").1
 }
 
 #[test]
@@ -437,7 +454,8 @@ fn tcp_client_survives_server_restart_without_losing_acked_samples() {
     let batches: Vec<&[Sample]> = s.samples.chunks(40).take(10).collect();
     assert_eq!(batches.len(), 10, "need ten batches for the restart plot");
 
-    let (svc, stop, handle, local) = spawn_server("127.0.0.1:0", &dir);
+    let (svc, stop, handle, local) =
+        spawn_server("127.0.0.1:0", &dir, FleetConfig::uniform(2, unmetered()));
     let addr = local.to_string();
 
     // A patient client: the backoff window must comfortably cover the
@@ -469,7 +487,7 @@ fn tcp_client_survives_server_restart_without_losing_acked_samples() {
         })
     };
     std::thread::sleep(Duration::from_millis(150));
-    let (svc, stop, handle, _) = spawn_server(&addr, &dir);
+    let (svc, stop, handle, _) = spawn_server(&addr, &dir, FleetConfig::uniform(2, unmetered()));
     let (mut client, ack) = sender.join().expect("sender thread");
     assert!(!ack.duplicate, "a fresh server run must re-ingest seq 6");
     acked_samples += ack.admitted;
@@ -510,7 +528,8 @@ fn tcp_rejects_unregistered_tenants_loudly() {
         std::thread::current().id()
     ));
     drop(std::fs::remove_dir_all(&dir));
-    let (svc, stop, handle, local) = spawn_server("127.0.0.1:0", &dir);
+    let (svc, stop, handle, local) =
+        spawn_server("127.0.0.1:0", &dir, FleetConfig::uniform(2, unmetered()));
     let mut client = FleetClient::new(local.to_string(), TenantId(77), ClientConfig::default());
     let err = client
         .send(&stream().samples[..10])
@@ -521,5 +540,48 @@ fn tcp_rejects_unregistered_tenants_loudly() {
     );
     client.close();
     stop_server(svc, &stop, handle);
+    drop(std::fs::remove_dir_all(&dir));
+}
+
+/// A tight-quota tenant over TCP walks its ladder Full → Sampled →
+/// Shed, and its acks report exactly what admission kept: they sum to
+/// the tenant's `accepted`. The non-default `thin_k` pins the Sampled
+/// ack to the fleet's own ladder configuration.
+#[test]
+fn tcp_acks_report_thinned_and_shed_batches_exactly() {
+    let dir = std::env::temp_dir().join(format!(
+        "pm-fleet-net-ladder-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    drop(std::fs::remove_dir_all(&dir));
+    let fleet = FleetConfig {
+        degrade: DegradeConfig {
+            thin_k: 3,
+            ..DegradeConfig::default()
+        },
+        ..FleetConfig::uniform(1, tight(100))
+    };
+    let (svc, stop, handle, local) = spawn_server("127.0.0.1:0", &dir, fleet);
+    let mut client = FleetClient::new(local.to_string(), TenantId(0), ClientConfig::default());
+    let acks: Vec<_> = stream()
+        .samples
+        .chunks(40)
+        .take(8)
+        .map(|batch| client.send(batch).expect("batch acknowledged"))
+        .collect();
+    client.close();
+    let stats = stop_server(svc, &stop, handle);
+
+    let levels: Vec<_> = acks.iter().map(|a| a.level).collect();
+    assert!(levels.contains(&DegradeLevel::Sampled), "{levels:?}");
+    assert!(levels.contains(&DegradeLevel::Shed), "{levels:?}");
+    let t = &stats.tenants[0];
+    assert_eq!(
+        acks.iter().map(|a| a.admitted).sum::<u64>(),
+        t.accepted,
+        "acks disagree with admission: {acks:?} vs {t:?}"
+    );
+    assert_eq!(t.offered, t.accepted + t.thinned + t.shed, "{t:?}");
     drop(std::fs::remove_dir_all(&dir));
 }

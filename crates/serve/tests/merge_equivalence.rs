@@ -47,7 +47,7 @@ fn sharded_single_profiles_match_direct_for_all_shard_counts() {
             )
             .expect("service starts");
             for s in &run.samples {
-                svc.ingest(s.clone());
+                svc.ingest_batch(vec![s.clone()]);
             }
             let (merged, stats) = svc.shutdown().expect("service drains");
             assert_eq!(stats.dropped, 0, "lossless path never drops");
@@ -151,7 +151,7 @@ fn concurrent_producers_match_direct_aggregation() {
                     // Interleave producers sample-by-sample across the
                     // whole stream so every queue sees contention.
                     for s in samples.iter().skip(p).step_by(producers) {
-                        svc.ingest(s.clone());
+                        svc.ingest_batch(vec![s.clone()]);
                     }
                 })
             })

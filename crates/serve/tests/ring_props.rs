@@ -208,7 +208,7 @@ fn eight_producers_eight_shards_match_direct_aggregation() {
             let samples = Arc::clone(&samples);
             std::thread::spawn(move || {
                 for s in samples.iter().skip(p).step_by(PRODUCERS) {
-                    svc.ingest(s.clone());
+                    svc.ingest_batch(vec![s.clone()]);
                 }
             })
         })

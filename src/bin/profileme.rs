@@ -40,7 +40,7 @@ use profileme::core::{
 };
 use profileme::serve::{
     store_info, ClientConfig, FleetClient, FleetConfig, FleetServer, FleetService, ProfileStore,
-    ServeConfig, ShardedService, SnapshotPlane, StoreConfig, TenantId, TenantQuota,
+    ServeConfig, ShardedService, StoreConfig, TenantId, TenantQuota,
 };
 use profileme::uarch::PipelineConfig;
 use profileme::workloads::{loops3, microbench, suite};
@@ -63,9 +63,7 @@ struct Args {
     shards: usize,
     chunks: usize,
     snapshot_every: usize,
-    wire: SnapshotPlane,
     deadline_ms: Option<u64>,
-    degrade: bool,
     fail_spec: String,
     // Durable-store knobs (`serve --data-dir`, `store <action>`).
     data_dir: Option<String>,
@@ -102,9 +100,7 @@ impl Default for Args {
             shards: 4,
             chunks: 8,
             snapshot_every: 1,
-            wire: SnapshotPlane::default(),
             deadline_ms: None,
-            degrade: false,
             fail_spec: String::new(),
             data_dir: None,
             segment_bytes: None,
@@ -173,11 +169,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
-            "--wire" if args.serve => {
-                let name = value("--wire")?;
-                args.wire = SnapshotPlane::parse(&name)
-                    .ok_or_else(|| format!("unknown wire plane `{name}` (dense|delta)"))?
-            }
             "--deadline-ms" if args.serve => {
                 args.deadline_ms = Some(
                     value("--deadline-ms")?
@@ -185,7 +176,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("{e}"))?,
                 )
             }
-            "--degrade" if args.serve => args.degrade = true,
             "--fail-spec" if args.serve => args.fail_spec = value("--fail-spec")?,
             "--listen" if args.serve => args.listen = Some(value("--listen")?),
             "--tenants" if args.serve => {
@@ -234,8 +224,8 @@ fn parse_args() -> Result<Args, String> {
                      [--budget INSTRUCTIONS] [--top N] [--paired] \
                      [--report instructions|procedures|wasted|disasm] [--json] [--list]\n       \
                      profileme serve [--workload NAME] [--interval S] [--budget INSTRUCTIONS] \
-                     [--shards N] [--chunks N] [--snapshot-every N] [--wire dense|delta] \
-                     [--top N] [--deadline-ms N] [--degrade] [--fail-spec SPEC] \
+                     [--shards N] [--chunks N] [--snapshot-every N] \
+                     [--top N] [--deadline-ms N] [--fail-spec SPEC] \
                      [--data-dir DIR] [--segment-bytes N] [--compact-every N] [--json]\n       \
                      profileme serve --listen ADDR [--tenants N] [--quota RATE[:BURST[:SHARE]]] \
                      [--serve-for-ms N] [--shards N] [--json]\n       \
@@ -266,7 +256,7 @@ fn find_workload(name: &str, budget: u64) -> Option<profileme::workloads::Worklo
 /// Maps the `serve` flags onto [`ServeConfig`] — 1:1 through the
 /// builder, so the CLI rejects exactly what the library rejects.
 fn serve_config(args: &Args) -> Result<ServeConfig, String> {
-    let mut builder = ServeConfig::builder().shards(args.shards).plane(args.wire);
+    let mut builder = ServeConfig::builder().shards(args.shards);
     if let Some(dir) = &args.data_dir {
         builder = builder.data_dir(dir);
     }
@@ -312,8 +302,8 @@ struct ServeStoreOutcome {
 /// the sharded service in chunks, reporting an interval delta per
 /// snapshot cycle, then cross-check the final merged database against
 /// the direct single-threaded aggregation — byte for byte when nothing
-/// was lost, by exact accounting otherwise (deadlines, degradation, and
-/// injected faults are all lossy on purpose).
+/// was lost, by exact accounting otherwise (deadlines and injected
+/// faults are lossy on purpose).
 fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), String> {
     let session = Session::builder(w.program.clone())
         .memory(w.memory.clone())
@@ -334,21 +324,21 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
 
     // With a durable store the view starts from the recovered history;
     // everything this run aggregates lands on top of it.
-    let recovered = svc.view_merged();
+    let recovered = svc
+        .store_stats()
+        .map(|store| (svc.view_merged().total_samples, store));
     if !args.json {
         println!(
-            "# serve: {} samples from `{}` through {} shard(s) in {} chunk(s), {} wire",
+            "# serve: {} samples from `{}` through {} shard(s) in {} chunk(s)",
             run.samples.len(),
             w.name,
             args.shards,
             args.chunks,
-            args.wire.name()
         );
-        if let Some(recovered) = &recovered {
-            let store = svc.store_stats().unwrap_or_default();
+        if let Some((samples, store)) = &recovered {
             println!(
                 "# store: recovered {} samples ({} WAL records, {} bytes{}) from {}",
-                recovered.total_samples,
+                samples,
                 store.recovered_records,
                 store.recovered_bytes,
                 if store.dropped_tail_bytes > 0 {
@@ -365,9 +355,7 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
     let mut previous = None;
     for (i, batch) in run.samples.chunks(chunk).enumerate() {
         let batch = batch.to_vec();
-        if args.degrade {
-            svc.ingest_adaptive(batch);
-        } else if let Some(budget) = deadline {
+        if let Some(budget) = deadline {
             // A missed deadline is not fatal: the remainder is dropped
             // with accounting, which is the point of the bounded path.
             let _ = svc.ingest_deadline(batch, budget);
@@ -412,8 +400,8 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
     }
     .map_err(|e| e.to_string())?;
     // Self-check: with zero losses the service must agree byte-for-byte
-    // with direct aggregation; with losses (deadlines, degradation,
-    // injected faults) every missing sample must be accounted for.
+    // with direct aggregation; with losses (deadlines, injected faults)
+    // every missing sample must be accounted for.
     let served = merged
         .encode(WireFormat::Sparse)
         .map_err(|e| e.to_string())?;
@@ -433,13 +421,13 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
     }
 
     if args.json {
-        match (&recovered, store_stats) {
-            (Some(recovered), Some(store)) => {
+        match (recovered, store_stats) {
+            (Some((recovered, _)), Some(store)) => {
                 let out = ServeStoreOutcome {
                     ingest: stats,
                     store,
-                    recovered_samples: recovered.total_samples,
-                    stored_samples: recovered.total_samples + merged.total_samples,
+                    recovered_samples: recovered,
+                    stored_samples: recovered + merged.total_samples,
                 };
                 println!(
                     "{}",
@@ -453,12 +441,12 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
         }
         return Ok(());
     }
-    if let (Some(recovered), Some(store)) = (&recovered, store_stats) {
+    if let (Some((recovered, _)), Some(store)) = (recovered, store_stats) {
         println!(
             "store: now holds {} samples ({} recovered + {} this run), \
              {} record(s) appended, {} compaction(s)",
-            recovered.total_samples + merged.total_samples,
-            recovered.total_samples,
+            recovered + merged.total_samples,
+            recovered,
             merged.total_samples,
             store.appended_records,
             store.compactions,
@@ -466,14 +454,13 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
     }
     println!(
         "ingest: {} enqueued, {} dropped, {} snapshot cycles ({} shards); \
-         {} worker panic(s), {} recovered; degrade level {}; {}",
+         {} worker panic(s), {} recovered; {}",
         stats.enqueued,
         stats.dropped,
         stats.snapshots,
         stats.shards,
         stats.worker_panics,
         stats.workers_recovered,
-        stats.degrade_level,
         if fidelity_ok {
             format!(
                 "final snapshot identical to direct aggregation ({} bytes)",
