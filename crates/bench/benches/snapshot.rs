@@ -83,7 +83,8 @@ fn delta(c: &mut Criterion) {
     group.bench_function("apply", |b| {
         b.iter(|| {
             let mut replica = empty.clone();
-            black_box(replica.apply_delta(&full_delta).expect("delta applies"))
+            replica.apply_delta(&full_delta).expect("delta applies");
+            black_box(replica)
         })
     });
     group.bench_function("clone_baseline", |b| {

@@ -1,7 +1,8 @@
 //! Snapshot-plane tracker for the sharded aggregation service: the
-//! cost of one watermark→publish→merge snapshot cycle under concurrent
-//! ingest — workers publish sparse deltas that the service folds into
-//! its materialized view — at 1/2/4/8 shards. Writes
+//! cost of one request→reply→fold snapshot cycle under concurrent
+//! ingest — workers answer a request queued on their ring with sparse
+//! deltas that the service folds into its materialized view — at
+//! 1/2/4/8 shards. Writes
 //! `BENCH_snapshot.json` so snapshot-cycle cost can be compared across
 //! revisions.
 //!
@@ -47,7 +48,8 @@ const BATCH: usize = 256;
 /// Ring capacity per shard.
 const QUEUE_DEPTH: usize = 64;
 /// Producer pacing between batches. A snapshot waits for every shard
-/// to drain up to its watermark, so an unpaced producer would turn
+/// to drain the work queued ahead of its request, so an unpaced
+/// producer would turn
 /// each cycle into a backlog-drain measurement instead of a
 /// snapshot-cost measurement.
 const PACE: std::time::Duration = std::time::Duration::from_micros(100);
@@ -229,8 +231,8 @@ fn one_rep(
     stop.store(true, Ordering::Relaxed);
     producer.join().expect("producer thread exits");
     // Byte-identity under everything the concurrent phase did: a
-    // quiescent snapshot (the producer has stopped, so the watermark
-    // covers every enqueued item) must serialize identically to the
+    // quiescent snapshot (the producer has stopped, so the request
+    // queues behind every enqueued item) must serialize identically to the
     // shutdown merge. This pits the materialized view against the
     // direct shard merge.
     let quiescent = service.snapshot().expect("quiescent snapshot");
@@ -340,7 +342,8 @@ fn wire_cell(w: &Workload, batches: &[Vec<Sample>], interval: u64) -> WireCell {
     let delta_apply_us = best_us(ITERS, || {
         let mut replica = empty.clone();
         let t = Instant::now();
-        std::hint::black_box(replica.apply_delta(&full_delta).expect("delta applies"));
+        replica.apply_delta(&full_delta).expect("delta applies");
+        std::hint::black_box(&replica);
         t.elapsed().as_secs_f64() * 1e6
     });
     WireCell {

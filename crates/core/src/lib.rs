@@ -85,6 +85,5 @@ pub use sw::{
     run_ground_truth, run_hardware, useful_overlap, wasted_issue_slots, Estimate, HardwareRun,
     OverlapKind, PairMetric, PairProfileDatabase, PairProfileField, PairedRun, PathProfiler,
     PathScheme, PcPairProfile, PcProfile, ProcedureSummary, ProfileDatabase, ProfileField,
-    ReconstructionOutcome, SampleCollector, SingleRun, StagePopulation, TopNIndex, WastedSlots,
-    WireFormat,
+    ReconstructionOutcome, SampleCollector, SingleRun, StagePopulation, WastedSlots, WireFormat,
 };

@@ -690,10 +690,11 @@ impl ProfileDatabase {
         if base % 4 != 0 {
             return Err(wire::malformed("base PC is not 4-byte aligned"));
         }
-        let len = usize::try_from(len).map_err(|_| wire::malformed("row count exceeds usize"))?;
+        let per_pc = wire::alloc_rows(len)?;
+        let len = per_pc.len();
         let mut db = ProfileDatabase {
             base: Pc::new(base),
-            per_pc: vec![PcProfile::default(); len],
+            per_pc,
             interval,
             invalid_samples,
             total_samples,
@@ -812,15 +813,14 @@ impl ProfileDatabase {
     /// Applies delta bytes produced by
     /// [`extract_delta`](ProfileDatabase::extract_delta): field-wise
     /// addition of every carried row plus the stream counters, in
-    /// O(touched). Returns the indices of the rows that changed so
-    /// incremental indexes (top-N heaps) can re-evaluate exactly them.
+    /// O(touched).
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::Snapshot`] if the bytes do not parse,
     /// or [`ProfileError::Mismatch`] if the delta describes a
     /// different program image or interval.
-    pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<Vec<u32>, ProfileError> {
+    pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
         let d: wire::Decoded<PC_COLUMNS> = wire::decode(bytes, DELTA_MAGIC, SNAP_HEADER)?;
         let [base, len, interval, invalid_samples, total_samples] = d.header[..] else {
             unreachable!("decode returns exactly SNAP_HEADER words");
@@ -835,7 +835,6 @@ impl ProfileDatabase {
                 what: "sampling interval",
             });
         }
-        let mut touched = Vec::with_capacity(d.rows.len());
         for (i, cols) in &d.rows {
             let idx = *i as usize;
             if idx >= self.per_pc.len() {
@@ -843,21 +842,10 @@ impl ProfileDatabase {
             }
             self.per_pc[idx].merge(&PcProfile::from_columns(cols));
             self.dirty.mark(idx);
-            touched.push(*i);
         }
         self.invalid_samples += invalid_samples;
         self.total_samples += total_samples;
-        Ok(touched)
-    }
-
-    /// The profile at dense row index `i` (used by in-crate indexes).
-    pub(crate) fn row(&self, i: u32) -> &PcProfile {
-        &self.per_pc[i as usize]
-    }
-
-    /// The PC of dense row index `i`.
-    pub(crate) fn pc_of_row(&self, i: u32) -> Pc {
-        self.base.advance(u64::from(i))
+        Ok(())
     }
 }
 
@@ -1239,10 +1227,11 @@ impl PairProfileDatabase {
         if base % 4 != 0 {
             return Err(wire::malformed("base PC is not 4-byte aligned"));
         }
-        let len = usize::try_from(len).map_err(|_| wire::malformed("row count exceeds usize"))?;
+        let per_pc = wire::alloc_rows(len)?;
+        let len = per_pc.len();
         let mut db = PairProfileDatabase {
             base: Pc::new(base),
-            per_pc: vec![PcPairProfile::default(); len],
+            per_pc,
             interval,
             window,
             total_pairs,
@@ -1350,14 +1339,14 @@ impl PairProfileDatabase {
     }
 
     /// Applies delta bytes produced by
-    /// [`extract_delta`](PairProfileDatabase::extract_delta), returning
-    /// the touched row indices — as [`ProfileDatabase::apply_delta`].
+    /// [`extract_delta`](PairProfileDatabase::extract_delta), as
+    /// [`ProfileDatabase::apply_delta`].
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::Snapshot`] if the bytes do not parse,
     /// or [`ProfileError::Mismatch`] on image/interval/window mismatch.
-    pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<Vec<u32>, ProfileError> {
+    pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
         let d: wire::Decoded<PAIR_COLUMNS> = wire::decode(bytes, PAIR_DELTA_MAGIC, PAIR_HEADER)?;
         let [base, len, interval, window, total_pairs, incomplete_pairs] = d.header[..] else {
             unreachable!("decode returns exactly PAIR_HEADER words");
@@ -1372,7 +1361,6 @@ impl PairProfileDatabase {
                 what: "sampling interval/window",
             });
         }
-        let mut touched = Vec::with_capacity(d.rows.len());
         for (i, cols) in &d.rows {
             let idx = *i as usize;
             if idx >= self.per_pc.len() {
@@ -1380,11 +1368,10 @@ impl PairProfileDatabase {
             }
             self.per_pc[idx].merge(&PcPairProfile::from_columns(cols));
             self.dirty.mark(idx);
-            touched.push(*i);
         }
         self.total_pairs += total_pairs;
         self.incomplete_pairs += incomplete_pairs;
-        Ok(touched)
+        Ok(())
     }
 }
 
@@ -1518,6 +1505,24 @@ mod tests {
             "I never issued, so it cannot usefully overlap J"
         );
         assert_eq!(pb.latency_sum, 7);
+    }
+
+    #[test]
+    fn absurd_row_counts_fail_the_decode_instead_of_aborting() {
+        // Sized unchecked, a 2^40-row table asks the allocator for
+        // ~176 TB, and a refused allocation aborts the process.
+        for len in [1u64 << 32, 1 << 40] {
+            let single = wire::encode::<PC_COLUMNS>(SNAP_MAGIC, &[0, len, 100, 0, 0], &[]);
+            assert!(matches!(
+                ProfileDatabase::decode(&single),
+                Err(ProfileError::Snapshot { .. })
+            ));
+            let pair = wire::encode::<PAIR_COLUMNS>(PAIR_SNAP_MAGIC, &[0, len, 100, 8, 0, 0], &[]);
+            assert!(matches!(
+                PairProfileDatabase::decode(&pair),
+                Err(ProfileError::Snapshot { .. })
+            ));
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@ pub(crate) mod driver;
 mod estimate;
 mod pathprof;
 mod report;
-mod topn;
 mod wire;
 
 pub use concurrency::{
@@ -25,4 +24,3 @@ pub use driver::{
 pub use estimate::{confidence_interval, estimate_total, expected_cov, Estimate};
 pub use pathprof::{PathProfiler, PathScheme, ReconstructionOutcome};
 pub use report::{procedure_summaries, ProcedureSummary};
-pub use topn::TopNIndex;

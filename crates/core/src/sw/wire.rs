@@ -121,6 +121,19 @@ pub(crate) fn encode<const N: usize>(
     buf
 }
 
+/// The all-default row table of a decoded snapshot. `len` comes from
+/// untrusted bytes: it must fit the u32 row indices the wire carries,
+/// and an allocation the system refuses is a decode error, not an
+/// abort.
+pub(crate) fn alloc_rows<T: Clone + Default>(len: u64) -> Result<Vec<T>, ProfileError> {
+    let len = u32::try_from(len).map_err(|_| malformed("row count exceeds u32 row indices"))?;
+    let mut rows = Vec::new();
+    rows.try_reserve_exact(len as usize)
+        .map_err(|_| malformed("row table too large to allocate"))?;
+    rows.resize(len as usize, T::default());
+    Ok(rows)
+}
+
 /// A decoded sparse table.
 pub(crate) struct Decoded<const N: usize> {
     pub header: Vec<u64>,

@@ -1,12 +1,11 @@
 //! Property tests of the sparse snapshot plane: the delta algebra
 //! (`extract_delta`/`apply_delta`) over random add/merge
-//! interleavings, dense/sparse decoder agreement on every snapshot,
-//! and the incremental top-N index against a from-scratch `top_n`.
+//! interleavings, and dense/sparse decoder agreement on every
+//! snapshot.
 
 use profileme_cfg::BranchHistory;
 use profileme_core::{
-    PairProfileDatabase, PairProfileField, PairedSample, ProfileDatabase, ProfileField, Sample,
-    TopNIndex, WireFormat,
+    PairProfileDatabase, PairProfileField, PairedSample, ProfileDatabase, Sample, WireFormat,
 };
 use profileme_isa::{Program, ProgramBuilder};
 use profileme_uarch::{CompletedSample, EventSet, TagId, Timestamps};
@@ -164,36 +163,6 @@ proptest! {
         prop_assert_eq!(&from_sparse, &db);
         prop_assert_eq!(&from_dense, &db);
         prop_assert_eq!(from_dense.encode(WireFormat::Sparse).unwrap(), sparse);
-    }
-
-    /// The incremental top-N index matches `top_n` recomputed from
-    /// scratch after every step of a random ingest, at every depth up
-    /// to (and past) its rank bound.
-    #[test]
-    fn incremental_top_n_matches_scratch(
-        adds in prop::collection::vec((0..IMAGE_LEN, any::<u16>(), any::<bool>()), 1..120),
-        k in 1usize..6,
-    ) {
-        let p = program();
-        let mut db = ProfileDatabase::new(&p, 100);
-        let mut idx = TopNIndex::new(k);
-        for (row, events, retired) in adds {
-            db.add(&sample(&p, row, events, retired));
-            idx.update_rows(&db, &[row as u32]);
-        }
-        for field in ProfileField::ALL {
-            for n in 0..=k {
-                match idx.top_n(&db, n, field) {
-                    Some(fast) => prop_assert_eq!(fast, db.top_n(n, field), "n={} k={}", n, k),
-                    None => prop_assert!(false, "n <= k is always answerable"),
-                }
-            }
-            // Past the bound the index either still knows every
-            // positive row, or correctly declines.
-            if let Some(fast) = idx.top_n(&db, k + 1, field) {
-                prop_assert_eq!(fast, db.top_n(k + 1, field));
-            }
-        }
     }
 }
 

@@ -11,10 +11,11 @@
 //! * [`ShardedService`] fans sample batches out to per-shard
 //!   aggregator threads behind lock-free [`RingBuffer`]s (zero-copy
 //!   round-robin routing, backpressure accounting via [`IngestStats`]);
-//! * [`ShardedService::snapshot`] runs a watermark→publish→merge cycle
-//!   whose result is **byte-identical for any shard count** — sample
-//!   aggregation is a per-PC sum, so sharding cannot change the answer
-//!   — without ever stalling ingest on a snapshot reply;
+//! * [`ShardedService::snapshot`] queues a request behind each shard's
+//!   work and folds the workers' delta replies into a materialized
+//!   view, whose result is **byte-identical for any shard count** —
+//!   sample aggregation is a per-PC sum, so sharding cannot change the
+//!   answer;
 //! * **supervision** ([`SuperviseConfig`]): workers run under
 //!   `catch_unwind` with a checkpoint + journal they rebuild from, so
 //!   a panicking worker is recovered in place — a transient panic
@@ -95,10 +96,9 @@ mod wal;
 pub use degrade::{DegradeConfig, DegradeLevel, OverloadController, RetryPolicy};
 pub use faults::FaultPlan;
 pub use net::{BatchAck, ClientConfig, ClientStats, FleetClient, FleetServer};
-pub use ring::{PopTimeout, RingBuffer, TryPushError};
+pub use ring::{RingBuffer, TryPushError};
 pub use service::{
     IngestStats, ServeConfig, ServeConfigBuilder, ServeSnapshot, ShardAggregate, ShardedService,
-    ViewIndex,
 };
 pub use store::{store_info, ProfileStore, SegmentInfo, StoreConfig, StoreInfo, StoreStats};
 pub use supervise::SuperviseConfig;
@@ -310,28 +310,26 @@ mod tests {
     }
 
     #[test]
-    fn view_top_n_matches_scratch_every_cycle() {
-        use profileme_core::ProfileField;
+    fn view_matches_direct_aggregation_every_cycle() {
         let (run, program) = sample_run();
         let svc = ShardedService::start(
             ProfileDatabase::new(&program, run.db.interval()),
             ServeConfig::builder().shards(3).build().unwrap(),
         )
         .unwrap();
+        let mut direct = ProfileDatabase::new(&program, run.db.interval());
         let mut cycles = 0u64;
         for chunk in run.samples.chunks(50) {
             svc.ingest_batch(chunk.to_vec());
+            chunk.iter().for_each(|s| direct.add(s));
             let snap = svc.snapshot().unwrap();
             cycles += 1;
-            // The incrementally maintained index answers exactly what
-            // a from-scratch top_n computes.
-            for field in [ProfileField::Samples, ProfileField::DcacheMisses] {
-                assert_eq!(
-                    svc.view_top_n(5, field).unwrap(),
-                    snap.merged.top_n(5, field),
-                    "cycle {cycles}"
-                );
-            }
+            // Each cycle's view holds exactly the ingested prefix.
+            assert_eq!(
+                snap.merged.encode(WireFormat::Sparse).unwrap(),
+                direct.encode(WireFormat::Sparse).unwrap(),
+                "cycle {cycles}"
+            );
         }
         let last = svc.snapshot().unwrap();
         // The view lands on bytes identical to direct aggregation.

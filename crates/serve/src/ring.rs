@@ -26,8 +26,8 @@
 //!
 //! # Parking
 //!
-//! Blocking callers ([`push`], [`pop`], and the `_timeout` variants)
-//! spin briefly, then park on a [`Gate`] — a condvar used *only* while
+//! Blocking callers ([`push`], [`pop`], and [`push_timeout`]) spin
+//! briefly, then park on a [`Gate`] — a condvar used *only* while
 //! a thread is actually asleep. The fast path pays one relaxed load
 //! (`waiters == 0`) per operation; wakeups happen only on the
 //! empty→non-empty and full→non-full edges. See the module's
@@ -62,6 +62,7 @@
 //!
 //! [`push`]: RingBuffer::push
 //! [`pop`]: RingBuffer::pop
+//! [`push_timeout`]: RingBuffer::push_timeout
 //! [`close`]: RingBuffer::close
 #![allow(unsafe_code)]
 
@@ -78,17 +79,6 @@ pub enum TryPushError<T> {
     Full(T),
     /// The ring was closed; the item is handed back.
     Closed(T),
-}
-
-/// The outcome of a [`RingBuffer::pop_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum PopTimeout<T> {
-    /// An item arrived within the deadline.
-    Item(T),
-    /// The deadline passed with the ring still empty (and open).
-    TimedOut,
-    /// The ring is closed and fully drained.
-    Closed,
 }
 
 /// Pads (and aligns) a value to two cache lines, so cursor words
@@ -371,30 +361,6 @@ impl<T> RingBuffer<T> {
         }
     }
 
-    /// Deadline-bounded pop: waits at most `timeout` for an item.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopTimeout<T> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(item) = self.try_pop() {
-                return PopTimeout::Item(item);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                return match self.try_pop() {
-                    Some(item) => PopTimeout::Item(item),
-                    None => PopTimeout::Closed,
-                };
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return PopTimeout::TimedOut;
-            }
-            self.not_empty.0.park(
-                || !self.is_empty() || self.closed.load(Ordering::Acquire),
-                remaining,
-            );
-        }
-    }
-
     /// Closes the ring: further pushes fail, pops drain what remains.
     /// Wakes every parked producer and consumer.
     pub fn close(&self) {
@@ -430,19 +396,6 @@ impl<T> RingBuffer<T> {
     /// The deepest the ring has ever been, in items.
     pub fn high_water(&self) -> usize {
         self.high_water.load(Ordering::Relaxed)
-    }
-
-    /// Total items ever enqueued (the producer cursor). Monotone; the
-    /// service's epoch-swap snapshot protocol uses this as the
-    /// "everything enqueued before now" watermark.
-    pub fn tail(&self) -> usize {
-        self.enqueue_pos.0.load(Ordering::Acquire)
-    }
-
-    /// Total items ever dequeued (the consumer cursor). With a single
-    /// consumer this is exactly how many items it has taken.
-    pub fn head(&self) -> usize {
-        self.dequeue_pos.0.load(Ordering::Acquire)
     }
 
     /// Updates the high-water mark after a push at `pos`. The common
@@ -529,8 +482,6 @@ mod tests {
             assert_eq!(q.try_pop(), Some(i));
         }
         assert!(q.is_empty());
-        assert_eq!(q.tail(), 1000);
-        assert_eq!(q.head(), 1000);
     }
 
     #[test]
@@ -599,24 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_distinguishes_empty_from_closed() {
-        let q = RingBuffer::<u64>::new(2);
-        let start = Instant::now();
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(20)),
-            PopTimeout::TimedOut
-        );
-        assert!(start.elapsed() >= Duration::from_millis(20));
-        q.push(9).unwrap();
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(20)),
-            PopTimeout::Item(9)
-        );
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(20)), PopTimeout::Closed);
-    }
-
-    #[test]
     fn drop_runs_destructors_of_undelivered_items() {
         let counter = Arc::new(AtomicUsize::new(0));
         #[derive(Debug)]
@@ -655,7 +588,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.high_water(), 2);
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), PopTimeout::Item(2));
+        assert_eq!(q.pop(), Some(2));
         q.push_timeout(4, Duration::from_millis(5)).unwrap();
         q.close();
         assert_eq!(q.pop(), Some(4));

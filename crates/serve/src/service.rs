@@ -1,6 +1,6 @@
 //! The sharded ingest/serving layer: per-shard aggregators behind
-//! lock-free rings, a watermark→publish→merge snapshot cycle, and
-//! backpressure accounting.
+//! lock-free rings, a snapshot cycle whose requests ride those same
+//! rings, and backpressure accounting.
 //!
 //! # Determinism invariant
 //!
@@ -31,14 +31,10 @@
 use crate::faults::ActiveFaults;
 use crate::ring::{RingBuffer, TryPushError};
 use crate::store::{ProfileStore, StoreConfig, StoreStats};
-use crate::supervise::{
-    run_worker, Msg, ShardCounters, SnapShared, SuperviseConfig, Work, WorkerCtx,
-};
+use crate::supervise::{run_worker, Msg, Reply, ShardCounters, SuperviseConfig, Work, WorkerCtx};
 use profileme_core::{
-    PairProfileDatabase, PairedSample, PcProfile, ProfileDatabase, ProfileError, ProfileField,
-    Sample, TopNIndex, WireFormat,
+    PairProfileDatabase, PairedSample, ProfileDatabase, ProfileError, Sample, WireFormat,
 };
-use profileme_isa::Pc;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -56,11 +52,6 @@ use std::time::{Duration, Instant};
 pub trait ShardAggregate: Clone + Send + 'static {
     /// The streamed item.
     type Item: Send + 'static;
-
-    /// The query index the service maintains over its materialized
-    /// merged view, refreshed with exactly the rows each applied delta
-    /// touched. Use `()` when no index is wanted.
-    type ViewIndex: ViewIndex<Self>;
 
     /// Accumulates one item.
     fn absorb(&mut self, item: &Self::Item);
@@ -109,9 +100,7 @@ pub trait ShardAggregate: Clone + Send + 'static {
     /// that ran backwards).
     fn extract_delta_bytes(&mut self, base: &mut Self) -> Result<Vec<u8>, ProfileError>;
 
-    /// Merges one [`extract_delta_bytes`] chunk into this accumulator
-    /// and returns the indices of the rows it touched (for incremental
-    /// index maintenance).
+    /// Merges one [`extract_delta_bytes`] chunk into this accumulator.
     ///
     /// [`extract_delta_bytes`]: ShardAggregate::extract_delta_bytes
     ///
@@ -120,36 +109,11 @@ pub trait ShardAggregate: Clone + Send + 'static {
     /// Returns [`ProfileError::Snapshot`] if the bytes do not parse,
     /// or [`ProfileError::Mismatch`] if they describe a different
     /// program/configuration.
-    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, ProfileError>;
-}
-
-/// An incrementally maintained query index over a materialized view:
-/// the service calls [`rows_touched`](ViewIndex::rows_touched) after
-/// applying each delta, with exactly the rows that changed.
-pub trait ViewIndex<A: ?Sized>: Default + Send + 'static {
-    /// Re-ranks `rows` of `view` after their values changed.
-    fn rows_touched(&mut self, view: &A, rows: &[u32]);
-}
-
-/// The no-op index: for aggregates with no O(1) dashboard query.
-impl<A: ?Sized> ViewIndex<A> for () {
-    fn rows_touched(&mut self, _view: &A, _rows: &[u32]) {}
-}
-
-/// [`TopNIndex`] rides the view: every applied delta reports
-/// its touched rows, which is exactly the refresh the index needs to
-/// stay equal to a from-scratch [`ProfileDatabase::top_n`].
-///
-/// [`ProfileDatabase::top_n`]: profileme_core::ProfileDatabase::top_n
-impl ViewIndex<ProfileDatabase> for TopNIndex {
-    fn rows_touched(&mut self, view: &ProfileDatabase, rows: &[u32]) {
-        self.update_rows(view, rows);
-    }
+    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), ProfileError>;
 }
 
 impl ShardAggregate for ProfileDatabase {
     type Item = Sample;
-    type ViewIndex = TopNIndex;
 
     fn absorb(&mut self, item: &Sample) {
         self.add(item);
@@ -171,14 +135,13 @@ impl ShardAggregate for ProfileDatabase {
         self.extract_delta(base)
     }
 
-    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, ProfileError> {
+    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
         self.apply_delta(bytes)
     }
 }
 
 impl ShardAggregate for PairProfileDatabase {
     type Item = PairedSample;
-    type ViewIndex = ();
 
     fn absorb(&mut self, item: &PairedSample) {
         self.add(item);
@@ -203,7 +166,7 @@ impl ShardAggregate for PairProfileDatabase {
         self.extract_delta(base)
     }
 
-    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, ProfileError> {
+    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
         self.apply_delta(bytes)
     }
 }
@@ -417,9 +380,10 @@ pub struct IngestStats {
     pub checkpoints: u64,
     /// Deadline-bounded calls that ran out of budget.
     pub deadline_misses: u64,
-    /// Delta publications shipped through the snapshot mailboxes.
+    /// Deltas the shard workers sent in answer to snapshot requests
+    /// (one per shard per request that reached the shard).
     pub deltas_published: u64,
-    /// Serialized bytes across those delta publications.
+    /// Serialized bytes across those deltas.
     pub delta_bytes: u64,
     /// Incremental refreshes applied to the merged materialized view
     /// (one per completed snapshot cycle).
@@ -446,14 +410,8 @@ pub struct ServeSnapshot<A> {
     pub stats: IngestStats,
 }
 
-/// How long a snapshot requester parks per wait slice. Purely a
-/// backstop against a lost notify — snapshots are rare and the worker
-/// notifies on publish, so the poll almost never fires.
-const SNAP_WAIT_SLICE: Duration = Duration::from_millis(5);
-
 struct Shard<A: ShardAggregate> {
     ring: Arc<RingBuffer<Msg<A>>>,
-    snap: Arc<SnapShared>,
     worker: Option<JoinHandle<()>>,
     /// Receives the worker's final accumulator: a reapable result with
     /// a bounded wait, unlike `JoinHandle::join`. Behind a `Mutex` only
@@ -485,14 +443,16 @@ impl<A: ShardAggregate> Shard<A> {
 }
 
 /// The materialized view: the merged aggregate kept incrementally up
-/// to date by folding in each shard's published deltas, plus the query
-/// index refreshed with the touched rows — and, when configured, the
-/// durable store the same deltas are logged to before they are
-/// applied.
+/// to date by folding in each shard's delta replies — and, when
+/// configured, the durable store the same deltas are logged to before
+/// they are applied.
 struct ViewState<A: ShardAggregate> {
     merged: A,
-    index: A::ViewIndex,
     store: Option<ProfileStore<A>>,
+    /// Each shard's reply channel, in shard order.
+    replies: Vec<mpsc::Receiver<Reply>>,
+    /// The epoch of the most recent snapshot request.
+    epoch: u64,
 }
 
 /// The sharded profile-aggregation service: samples in, snapshots out,
@@ -509,9 +469,8 @@ pub struct ShardedService<A: ShardAggregate> {
     deadline_misses: AtomicU64,
     view_refreshes: AtomicU64,
     faults: Option<Arc<ActiveFaults>>,
-    /// Serializes snapshot cycles so each shard has at most one
-    /// outstanding [`SnapShared`] request, and owns the materialized
-    /// view. Ingest never touches this.
+    /// Serializes snapshot cycles, and owns the materialized view and
+    /// the reply channels. Ingest never touches this.
     snap_cycle: Mutex<ViewState<A>>,
 }
 
@@ -556,42 +515,33 @@ impl<A: ShardAggregate> ShardedService<A> {
     ) -> Result<ShardedService<A>, ProfileError> {
         config.validate()?;
         // The view starts at the shards' shared origin: every worker's
-        // delta base begins as `empty`, so folding each published delta
+        // delta base begins as `empty`, so folding each delta reply
         // into this view reproduces the sum of the shard accumulators
-        // exactly. With a durable store the view additionally starts
-        // at the *recovered* state — history from previous runs the
-        // workers know nothing about — folded in through the same
-        // delta path so the query index sees every nonzero row. This
+        // exactly. With a durable store the view starts at the
+        // *recovered* state instead — history from previous runs the
+        // workers know nothing about; `ProfileStore::open` has already
+        // refused a store written for another program or interval. This
         // happens before any worker spawns: a store that fails to open
         // leaves no threads behind.
-        let mut merged = empty.clone();
-        let mut index = A::ViewIndex::default();
-        let store = match &config.store {
-            None => None,
+        let (merged, store) = match &config.store {
+            None => (empty.clone(), None),
             Some(store_cfg) => {
-                let (store, mut recovered) = ProfileStore::open(store_cfg.clone(), empty.clone())?;
-                let mut base = empty.clone();
-                let history = recovered.extract_delta_bytes(&mut base)?;
-                let rows = merged.apply_delta_bytes(&history)?;
-                index.rows_touched(&merged, &rows);
-                Some(store)
+                let (store, recovered) = ProfileStore::open(store_cfg.clone(), empty.clone())?;
+                (recovered, Some(store))
             }
         };
-        let view = ViewState {
-            merged,
-            index,
-            store,
-        };
+        let mut replies = Vec::with_capacity(config.shards);
         let shards = (0..config.shards)
             .map(|shard| {
                 let ring = Arc::new(RingBuffer::new(config.queue_depth));
-                let snap = Arc::new(SnapShared::new());
                 let counters = Arc::new(ShardCounters::default());
+                let (reply_tx, reply_rx) = mpsc::channel();
+                replies.push(reply_rx);
                 let (done_tx, done_rx) = mpsc::channel();
                 let ctx = WorkerCtx {
                     shard,
                     ring: Arc::clone(&ring),
-                    snap: Arc::clone(&snap),
+                    replies: reply_tx,
                     empty: empty.clone(),
                     cfg: config.supervise,
                     counters: Arc::clone(&counters),
@@ -600,13 +550,18 @@ impl<A: ShardAggregate> ShardedService<A> {
                 };
                 Shard {
                     ring,
-                    snap,
                     worker: Some(std::thread::spawn(move || run_worker(ctx))),
                     done: Mutex::new(done_rx),
                     counters,
                 }
             })
             .collect();
+        let view = ViewState {
+            merged,
+            store,
+            replies,
+            epoch: 0,
+        };
         Ok(ShardedService {
             shards,
             rr: AtomicUsize::new(0),
@@ -732,27 +687,25 @@ impl<A: ShardAggregate> ShardedService<A> {
         .map(drop)
     }
 
-    /// One watermark→publish→merge snapshot cycle: each shard records
-    /// the ring position enqueued so far as a watermark, and its
-    /// worker publishes its delta since the previous cycle the moment
-    /// it has processed up to that mark (see
-    /// [`SnapShared`](crate::supervise) for the protocol). Everything
-    /// enqueued before this call is included; collection continues
-    /// concurrently — ingest never waits on a snapshot.
+    /// One request→reply→fold snapshot cycle: a snapshot request is
+    /// pushed onto every shard's ring behind the work already queued
+    /// there, each worker answers it with its delta since its previous
+    /// answer, and the deltas are folded into the materialized view.
+    /// Everything enqueued before this call is included; collection
+    /// continues concurrently.
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::WorkerCrashed`] if a shard worker died,
-    /// [`ProfileError::Snapshot`] if the service is shut down, or
-    /// [`ProfileError::Mismatch`] if shard aggregates disagree (which
-    /// would indicate a bug in the `empty` prototype).
+    /// or [`ProfileError::Mismatch`] if shard aggregates disagree
+    /// (which would indicate a bug in the `empty` prototype).
     pub fn snapshot(&self) -> Result<ServeSnapshot<A>, ProfileError> {
         self.snapshot_cycle(None)
     }
 
     /// [`snapshot`](ShardedService::snapshot) that never blocks past
-    /// `timeout` in total — neither nudging a shard behind a full ring
-    /// (a stalled worker) nor awaiting the published aggregates.
+    /// `timeout` in total — neither pushing a request behind a full
+    /// ring (a stalled worker) nor awaiting the replies.
     ///
     /// # Errors
     ///
@@ -764,6 +717,7 @@ impl<A: ShardAggregate> ShardedService<A> {
 
     fn snapshot_cycle(&self, timeout: Option<Duration>) -> Result<ServeSnapshot<A>, ProfileError> {
         let deadline = timeout.map(|t| Instant::now() + t);
+        let remaining = |d: Instant| d.saturating_duration_since(Instant::now());
         let miss = |me: &Self| {
             me.deadline_misses.fetch_add(1, Ordering::Relaxed);
             ProfileError::DeadlineExceeded {
@@ -771,78 +725,63 @@ impl<A: ShardAggregate> ShardedService<A> {
                 millis: timeout.expect("only deadline cycles miss").as_millis() as u64,
             }
         };
-        // One cycle at a time: each shard then has at most one
-        // outstanding request, which is what the two-slot mailbox is
-        // sized for. This guard also owns the materialized view the
-        // cycle folds deltas into.
+        // One cycle at a time: this guard owns the reply channels and
+        // the materialized view the cycle folds deltas into.
         let mut cycle = self
             .snap_cycle
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let ViewState {
             merged,
-            index,
             store,
+            replies,
+            epoch,
         } = &mut *cycle;
+        // Every attempt takes a fresh epoch, so a reply to an abandoned
+        // cycle is never mistaken for this one's.
+        *epoch += 1;
+        let epoch = *epoch;
 
-        // Phase 1: stamp a watermark + epoch per shard, then nudge the
-        // ring so an idle (parked) worker wakes and notices.
-        let mut epochs = Vec::with_capacity(self.shards.len());
+        // Phase 1: queue the request behind everything already on each
+        // ring. Rings are FIFO with one consumer each, so a worker that
+        // pops it has handled every earlier message.
         for (i, shard) in self.shards.iter().enumerate() {
-            let watermark = shard.ring.tail() as u64;
-            shard.snap.watermark.store(watermark, Ordering::Relaxed);
-            let epoch = shard.snap.requested.load(Ordering::Relaxed) + 1;
-            shard.snap.requested.store(epoch, Ordering::Release);
-            match deadline {
-                None => {
-                    if shard.ring.push(Msg::Nudge).is_err() {
-                        return Err(self.shard_closed_error(i));
-                    }
-                }
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    match shard.ring.push_timeout(Msg::Nudge, remaining) {
-                        Ok(()) => {}
-                        Err(TryPushError::Full(_)) => return Err(miss(self)),
-                        Err(TryPushError::Closed(_)) => return Err(self.shard_closed_error(i)),
-                    }
-                }
+            let request = Msg::Snapshot(epoch);
+            let closed = match deadline {
+                None => shard.ring.push(request).is_err(),
+                Some(d) => match shard.ring.push_timeout(request, remaining(d)) {
+                    Ok(()) => false,
+                    Err(TryPushError::Full(_)) => return Err(miss(self)),
+                    Err(TryPushError::Closed(_)) => true,
+                },
+            };
+            // Only a crashed worker closes a ring while `&self` is
+            // alive: shutdown and drop both consume the service.
+            if closed {
+                return Err(ProfileError::WorkerCrashed { shard: i });
             }
-            epochs.push(epoch);
         }
 
-        // Phase 2: await each shard's publish in shard order and fold
-        // its delta chunks into the materialized view — a deadline miss
-        // partway through is safe, because the applied prefix is a
-        // valid (merely earlier) view state and the unconsumed
-        // publications are carried forward by their workers.
-        for (i, shard) in self.shards.iter().enumerate() {
-            let epoch = epochs[i];
+        // Phase 2: read each shard's replies in shard order, logging
+        // and folding each one, up to this epoch's. Earlier epochs come
+        // from abandoned deadline cycles; each is the only copy of its
+        // span of the shard's history, so it is folded too, in order.
+        // A deadline miss partway is safe: the applied prefix is a
+        // valid (merely earlier) view state, and the unread replies
+        // wait in their channels for the next cycle.
+        for (i, rx) in replies.iter().enumerate() {
             loop {
-                if shard.snap.published.load(Ordering::Acquire) >= epoch {
-                    break;
-                }
-                if shard.counters.crashed.load(Ordering::Acquire) {
-                    return Err(ProfileError::WorkerCrashed { shard: i });
-                }
-                let slice = match deadline {
-                    None => SNAP_WAIT_SLICE,
-                    Some(d) => {
-                        let remaining = d.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            return Err(miss(self));
-                        }
-                        remaining.min(SNAP_WAIT_SLICE)
+                let reply = match deadline {
+                    None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+                    Some(d) => rx.recv_timeout(remaining(d)),
+                };
+                let (answered, chunk) = match reply {
+                    Ok(reply) => reply,
+                    Err(mpsc::RecvTimeoutError::Timeout) => return Err(miss(self)),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {
+                        return Err(ProfileError::WorkerCrashed { shard: i })
                     }
                 };
-                shard.snap.wait(slice);
-            }
-            let chunks = shard.snap.slots[(epoch & 1) as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("a published epoch always fills its slot");
-            for chunk in chunks {
                 // WAL first: once a delta is applied to the view it is
                 // part of every future compaction image, so the log
                 // must already hold it for recovery to reproduce the
@@ -850,8 +789,10 @@ impl<A: ShardAggregate> ShardedService<A> {
                 if let Some(store) = store.as_mut() {
                     store.append(&chunk)?;
                 }
-                let rows = merged.apply_delta_bytes(&chunk)?;
-                index.rows_touched(merged, &rows);
+                merged.apply_delta_bytes(&chunk)?;
+                if answered == epoch {
+                    break;
+                }
             }
         }
         self.view_refreshes.fetch_add(1, Ordering::Relaxed);
@@ -890,18 +831,6 @@ impl<A: ShardAggregate> ShardedService<A> {
             .store
             .as_ref()
             .map(ProfileStore::stats)
-    }
-
-    /// The error for a closed shard ring: `WorkerCrashed` if the
-    /// worker gave up, otherwise the service is shut down.
-    fn shard_closed_error(&self, shard: usize) -> ProfileError {
-        if self.shards[shard].counters.crashed.load(Ordering::Acquire) {
-            ProfileError::WorkerCrashed { shard }
-        } else {
-            ProfileError::Snapshot {
-                reason: "service is shut down".into(),
-            }
-        }
     }
 
     /// Current backpressure and fault accounting across all shards.
@@ -973,7 +902,7 @@ impl<A: ShardAggregate> ShardedService<A> {
         let deadline = timeout.map(|t| Instant::now() + t);
         // On a durable service, run one last snapshot cycle before the
         // rings close: `self` is consumed, so nothing can be enqueued
-        // after the watermark this cycle stamps — every accepted item
+        // behind the request this cycle queues — every accepted item
         // reaches the WAL. Best-effort: a crashed worker degrades this
         // to whatever the log already holds, exactly as a crash would.
         if self.store_stats().is_some() {
@@ -1026,25 +955,6 @@ impl<A: ShardAggregate> ShardedService<A> {
         }
         let stats = self.stats();
         Ok((merged.expect("at least one shard"), stats))
-    }
-}
-
-impl ShardedService<ProfileDatabase> {
-    /// The `n` hottest instructions by `field`, answered from the
-    /// incrementally maintained [`TopNIndex`] over the materialized
-    /// view — O(n), no clone, no sort, no snapshot cycle.
-    ///
-    /// The answer reflects the most recent completed snapshot cycle
-    /// (the view advances per cycle, not per ingest). Returns `None`
-    /// when `n` exceeds the index's rank depth — fall back to
-    /// [`snapshot`](ShardedService::snapshot) plus
-    /// [`ProfileDatabase::top_n`] for that.
-    pub fn view_top_n(&self, n: usize, field: ProfileField) -> Option<Vec<(Pc, PcProfile)>> {
-        let view = self
-            .snap_cycle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        view.index.top_n(&view.merged, n, field)
     }
 }
 

@@ -328,7 +328,12 @@ impl<A: ShardAggregate> ProfileStore<A> {
     pub fn open(cfg: StoreConfig, empty: A) -> Result<(ProfileStore<A>, A), ProfileError> {
         cfg.validate()?;
         fs::create_dir_all(&cfg.data_dir).map_err(|e| wal::io_err("create", &cfg.data_dir, e))?;
-        let (state, replay) = recover_dir::<A>(&cfg.data_dir, Some(empty), true)?;
+        let (state, replay) = recover_dir::<A>(&cfg.data_dir, Some(empty.clone()), true)?;
+        // The image names its own program and sampling interval; refuse
+        // a store written for another before anything is appended to
+        // it, or every later recovery would fail on the foreign deltas.
+        let mut probe = empty;
+        probe.merge(&state)?;
         let wal = Wal::open_at(&cfg.data_dir, cfg.segment_bytes, replay.next_seq)?;
         let mut store = ProfileStore {
             cfg,

@@ -221,6 +221,17 @@ fn read_u32(bytes: &[u8], at: &mut usize) -> Result<u32, ProfileError> {
     Ok(v)
 }
 
+/// Reads an item count and checks it against the bytes left at
+/// `min_item` bytes per item, so a corrupt count fails the decode
+/// instead of sizing an allocation.
+fn read_count(bytes: &[u8], at: &mut usize, min_item: usize) -> Result<usize, ProfileError> {
+    let count = read_u32(bytes, at)? as usize;
+    if count > (bytes.len() - *at) / min_item {
+        return Err(truncated());
+    }
+    Ok(count)
+}
+
 fn read_chunk<'a>(bytes: &'a [u8], at: &mut usize) -> Result<&'a [u8], ProfileError> {
     let len = read_u32(bytes, at)? as usize;
     let end = at
@@ -285,7 +296,6 @@ impl<A: ShardAggregate> Tenanted<A> {
 
 impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
     type Item = (TenantId, A::Item);
-    type ViewIndex = ();
 
     fn absorb(&mut self, item: &Self::Item) {
         let id = item.0 .0;
@@ -295,6 +305,9 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
     }
 
     fn merge(&mut self, other: &Tenanted<A>) -> Result<(), ProfileError> {
+        // The prototypes must agree even when `other` has no views:
+        // every view created later is cloned from `self.proto`.
+        self.proto.clone().merge(&other.proto)?;
         for (id, view) in &other.views {
             let i = self.view_index(*id);
             self.views[i].1.merge(view)?;
@@ -337,14 +350,15 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         }
         at += 4;
         let proto = A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?;
-        let count = read_u32(bytes, &mut at)?;
-        let mut views = Vec::with_capacity(count as usize);
+        // Each view costs at least an id and a chunk length.
+        let count = read_count(bytes, &mut at, 8)?;
+        let mut views = Vec::with_capacity(count);
         for _ in 0..count {
             let id = read_u32(bytes, &mut at)?;
             views.push((id, A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?));
         }
-        let touched_count = read_u32(bytes, &mut at)?;
-        let mut touched = Vec::with_capacity(touched_count as usize);
+        let touched_count = read_count(bytes, &mut at, 4)?;
+        let mut touched = Vec::with_capacity(touched_count);
         for _ in 0..touched_count {
             touched.push(read_u32(bytes, &mut at)?);
         }
@@ -379,7 +393,7 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         Ok(out)
     }
 
-    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, ProfileError> {
+    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
         let mut at = 0usize;
         let magic = bytes.get(..4).ok_or(ProfileError::Snapshot {
             reason: "tenant delta truncated".into(),
@@ -398,9 +412,7 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
             self.views[i].1.apply_delta_bytes(chunk)?;
             self.mark_touched(id);
         }
-        // No cross-tenant row index is maintained; the fleet answers
-        // per-tenant queries from the views themselves.
-        Ok(Vec::new())
+        Ok(())
     }
 }
 

@@ -146,9 +146,9 @@ fn recovery_replays_checkpoint_plus_journal() {
 }
 
 /// A deadline-abandoned snapshot epoch must not lose its delta: the
-/// worker publishes the delta for an epoch nobody reads, and carries
-/// it forward into the next publication (the two-slot sweep). The next
-/// successful snapshot still sees every sample.
+/// worker answers an epoch nobody is waiting for any more, and the
+/// next cycle folds that reply ahead of its own. The next successful
+/// snapshot still sees every sample.
 #[test]
 fn abandoned_deadline_epoch_loses_no_deltas() {
     let s = single_stream();
@@ -169,8 +169,8 @@ fn abandoned_deadline_epoch_loses_no_deltas() {
             ..
         }
     ));
-    // The worker eventually publishes that abandoned epoch's delta
-    // into a slot nobody reads. The next cycle must carry it.
+    // The worker eventually answers that abandoned epoch on its reply
+    // channel. The next cycle must fold it.
     svc.ingest_batch(s.samples[20..30].to_vec());
     let snap = svc.snapshot().expect("worker has recovered");
     let mut direct = ProfileDatabase::new(&s.program, s.interval);
@@ -183,6 +183,92 @@ fn abandoned_deadline_epoch_loses_no_deltas() {
         "the abandoned epoch's delta was dropped"
     );
     assert_eq!(svc.stats().deadline_misses, 1);
+    drop(svc);
+}
+
+/// Direct single-threaded aggregation of `samples`, encoded.
+fn direct_bytes(samples: &[profileme_core::Sample]) -> Vec<u8> {
+    let s = single_stream();
+    let mut direct = ProfileDatabase::new(&s.program, s.interval);
+    samples.iter().for_each(|sample| direct.add(sample));
+    direct.encode(WireFormat::Sparse).unwrap()
+}
+
+/// Two consecutive cycles abandoned on the same shard leave two stale
+/// replies queued ahead of the next cycle's; it folds all three.
+#[test]
+fn two_abandoned_cycles_on_one_shard_lose_no_deltas() {
+    let s = single_stream();
+    let svc = service_with("delay:shard=0:nth=2:ms=500", 1, SuperviseConfig::default());
+    svc.ingest_batch(s.samples[..10].to_vec());
+    svc.snapshot().expect("healthy first cycle");
+    // The worker sleeps on this batch through both deadline cycles.
+    svc.ingest_batch(s.samples[10..20].to_vec());
+    for _ in 0..2 {
+        let err = svc
+            .snapshot_deadline(Duration::from_millis(10))
+            .expect_err("the worker is mid-delay");
+        assert!(matches!(
+            err,
+            ProfileError::DeadlineExceeded {
+                what: "snapshot",
+                ..
+            }
+        ));
+    }
+    svc.ingest_batch(s.samples[20..30].to_vec());
+    let snap = svc.snapshot().expect("worker has recovered");
+    assert_eq!(
+        snap.merged.encode(WireFormat::Sparse).unwrap(),
+        direct_bytes(&s.samples[..30]),
+        "an abandoned cycle's delta was dropped"
+    );
+    assert_eq!(svc.stats().deadline_misses, 2);
+    drop(svc);
+}
+
+/// A cycle abandoned in phase 1 — shard 0 already holds the request
+/// when shard 1's full ring runs out the deadline — leaves shard 0 one
+/// stale reply; the next cycle folds it and the fresh one.
+#[test]
+fn cycle_abandoned_mid_request_loses_no_deltas() {
+    let s = single_stream();
+    let svc = ShardedService::start_with_faults(
+        ProfileDatabase::new(&s.program, s.interval),
+        ServeConfig::builder()
+            .shards(2)
+            .queue_depth(2)
+            .build()
+            .expect("config is valid"),
+        FaultPlan::parse("delay:shard=1:nth=1:ms=400").expect("plan parses"),
+    )
+    .expect("service starts");
+    // Round-robin: shard 1 gets batches 1, 3 and 5. Its worker sleeps
+    // on batch 1 while 3 and 5 fill its two-slot ring.
+    let batches: Vec<_> = s.samples.chunks(10).take(6).collect();
+    for batch in &batches {
+        svc.ingest_batch(batch.to_vec());
+    }
+    let err = svc
+        .snapshot_deadline(Duration::from_millis(20))
+        .expect_err("shard 1's ring is full");
+    assert!(matches!(
+        err,
+        ProfileError::DeadlineExceeded {
+            what: "snapshot",
+            ..
+        }
+    ));
+    let snap = svc.snapshot().expect("worker has recovered");
+    assert_eq!(
+        snap.merged.encode(WireFormat::Sparse).unwrap(),
+        direct_bytes(&s.samples[..60]),
+        "shard 0's stale reply was dropped"
+    );
+    let stats = svc.stats();
+    assert_eq!(stats.deadline_misses, 1);
+    // Shard 0 answered both requests; shard 1 only the second.
+    assert_eq!(stats.deltas_published, 3);
     drop(svc);
 }
 

@@ -279,6 +279,43 @@ fn unregistered_tenants_and_bad_configs_are_rejected() {
     );
 }
 
+/// A corrupt view or touched count in a `PMTC` image fails the decode.
+/// Sized unchecked, `u32::MAX` asks for ~481 GB of views or ~17 GB of
+/// touched ids, and a refused allocation aborts the process.
+#[test]
+fn corrupt_tenant_checkpoint_counts_fail_the_decode() {
+    // An empty image ends with its view count, then its touched count.
+    let image = Tenanted::new(proto())
+        .checkpoint_bytes()
+        .expect("checkpoint serializes");
+    for at in [image.len() - 8, image.len() - 4] {
+        let mut bad = image.clone();
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Tenanted::<ProfileDatabase>::from_checkpoint_bytes(&bad).is_err());
+    }
+}
+
+/// A fleet store holding no tenant views still names its prototype's
+/// program: opening it for another is refused, because every view
+/// created later would be cloned from the stored prototype.
+#[test]
+fn viewless_fleet_store_for_another_program_is_refused() {
+    let dir = std::env::temp_dir().join(format!(
+        "pm-fleet-foreign-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    drop(std::fs::remove_dir_all(&dir));
+    let cfg = profileme_serve::StoreConfig::new(&dir);
+    drop(ProfileStore::open(cfg.clone(), Tenanted::new(proto())).expect("fresh store opens"));
+    let foreign = ProfileDatabase::new(&stream().program, stream().interval * 2);
+    assert!(matches!(
+        ProfileStore::open(cfg, Tenanted::new(foreign)),
+        Err(profileme_core::ProfileError::Mismatch { .. })
+    ));
+    drop(std::fs::remove_dir_all(&dir));
+}
+
 #[test]
 fn tenanted_checkpoint_roundtrips_with_pending_touched_set() {
     let s = stream();

@@ -342,7 +342,9 @@ fn interior_tear_is_refused_not_skipped() {
 
 /// Debris from a compaction interrupted at any point — a temporary
 /// image, an undecodable image with the final name, a superseded older
-/// image — is swept on open without losing a record.
+/// image — is swept on open without losing a record. An image whose
+/// header claims 2^40 rows is undecodable too, not an allocation that
+/// aborts the process.
 #[test]
 fn interrupted_compaction_debris_is_swept() {
     let tmp = TempStore::new("debris");
@@ -353,6 +355,18 @@ fn interrupted_compaction_debris_is_swept() {
     // Newer than the real image but garbage: recovery must fall back.
     let junk_img = tmp.0.join("snap-00009999.img");
     fs::write(&junk_img, b"not a snapshot").unwrap();
+    // `PMS1`, header (base, rows = 2^40, interval, invalid, total), no
+    // runs.
+    let mut huge = b"PMS1".to_vec();
+    for mut v in [0u64, 1 << 40, 32, 0, 0, 0] {
+        while v >= 0x80 {
+            huge.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        huge.push(v as u8);
+    }
+    let huge_img = tmp.0.join("snap-00009998.img");
+    fs::write(&huge_img, &huge).unwrap();
     // Older than the real image: superseded, must be removed.
     let old_img = tmp.0.join("snap-00000000.img");
     fs::write(&old_img, b"stale").unwrap();
@@ -368,6 +382,7 @@ fn interrupted_compaction_debris_is_swept() {
     );
     assert!(!tmp_img.exists(), "temporary image swept");
     assert!(!junk_img.exists(), "undecodable image swept");
+    assert!(!huge_img.exists(), "undecodable image swept");
     assert!(!old_img.exists(), "superseded image swept");
 }
 
@@ -434,6 +449,58 @@ fn service_restart_recovers_history() {
         direct.checkpoint_bytes().unwrap()
     );
     svc.shutdown().expect("third run drains");
+}
+
+/// Every file in `dir`, by name, with its content.
+fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = fs::read_dir(dir)
+        .expect("store dir lists")
+        .map(|e| {
+            let e = e.expect("entry reads");
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, fs::read(e.path()).expect("file reads"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A store written for one program or sampling interval is refused at
+/// start with `Mismatch` by a service built for another, and nothing
+/// is written to it: a foreign delta in its log would make every later
+/// recovery of the store fail.
+#[test]
+fn foreign_store_is_refused_and_left_untouched() {
+    let s = single_stream();
+    let tmp = TempStore::new("foreign");
+    let config = || {
+        ServeConfig::builder()
+            .shards(2)
+            .data_dir(&tmp.0)
+            .build()
+            .expect("config is valid")
+    };
+    let svc = ShardedService::start(ProfileDatabase::new(&s.program, s.interval), config())
+        .expect("first run starts");
+    svc.ingest_batch(s.samples.clone());
+    svc.snapshot().expect("snapshot cycles");
+    svc.shutdown().expect("first run drains");
+    let before = dir_contents(&tmp.0);
+
+    let other = profileme_workloads::li(400).program;
+    for foreign in [
+        ProfileDatabase::new(&s.program, s.interval * 2),
+        ProfileDatabase::new(&other, s.interval),
+    ] {
+        match ShardedService::start(foreign, config()) {
+            Err(ProfileError::Mismatch { .. }) => {}
+            other => panic!("expected Mismatch, got {:?}", other.map(drop)),
+        }
+        assert_eq!(dir_contents(&tmp.0), before, "a refused start wrote");
+    }
+    let (recovered, _) =
+        ProfileStore::<ProfileDatabase>::recover(&tmp.0).expect("the store still recovers");
+    assert_eq!(recovered.total_samples as usize, s.samples.len());
 }
 
 /// The paired-sample lineage rides the same store: a `PMP1` image plus
