@@ -53,47 +53,79 @@ pub enum WireFormat {
     Dense,
     /// The canonical sparse columnar format (`PMS1`/`PMP1` magic):
     /// varint-coded touched-row runs plus per-field columns — the
-    /// encoding the snapshot plane, checkpoints, and the durable
-    /// store all share.
+    /// encoding the snapshot plane and the durable store share.
     #[default]
     Sparse,
 }
 
-/// The set of rows touched since the last delta extraction: a bitset
-/// for O(1) dedup plus the touched indices for O(touched) iteration.
+/// Two sets of touched rows, fed by one [`mark`](DirtySet::mark) and
+/// drained independently: `touched` since the last delta extraction,
+/// and `unsynced` since the last checkpoint sync. Each row owns two
+/// adjacent bits of one bitset word (O(1) dedup of both sets with one
+/// load), plus an index list per set for O(touched) iteration.
 ///
-/// Invariant: `touched` ⊇ every row whose profile differs from its
-/// value at the last [`take_sorted`](DirtySet::take_sorted) (or from
-/// the all-zero row if none happened yet). Supersets are fine — the
-/// delta encoder skips rows whose diff is zero — so decoding marks
-/// every nonzero row rather than trying to reconstruct history.
+/// Invariant: each list ⊇ every row whose profile differs from its
+/// value at that list's last drain (or from the all-zero row if none
+/// happened yet). Supersets are fine — the delta encoder skips rows
+/// whose diff is zero, and a sync re-copies an equal row — so
+/// decoding marks every nonzero row rather than trying to reconstruct
+/// history.
 #[derive(Debug, Clone, Default)]
 struct DirtySet {
     words: Vec<u64>,
     touched: Vec<u32>,
+    unsynced: Vec<u32>,
 }
 
+/// A row's extraction bit within its word; the sync bit sits just
+/// above it.
+const TOUCHED_BIT: u64 = 0b01;
+const UNSYNCED_BIT: u64 = 0b10;
+
 impl DirtySet {
+    fn slot(i: usize) -> (usize, u32) {
+        (i / 32, 2 * (i % 32) as u32)
+    }
+
     fn mark(&mut self, i: usize) {
-        let w = i / 64;
+        let (w, shift) = DirtySet::slot(i);
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
-        let bit = 1u64 << (i % 64);
-        if self.words[w] & bit == 0 {
-            self.words[w] |= bit;
-            self.touched.push(i as u32);
+        let both = (TOUCHED_BIT | UNSYNCED_BIT) << shift;
+        let word = self.words[w];
+        if word & both != both {
+            if word & (TOUCHED_BIT << shift) == 0 {
+                self.touched.push(i as u32);
+            }
+            if word & (UNSYNCED_BIT << shift) == 0 {
+                self.unsynced.push(i as u32);
+            }
+            self.words[w] = word | both;
         }
     }
 
-    /// Drains the set, returning the touched rows in ascending order.
+    /// Drains the extraction set, returning its rows in ascending
+    /// order. The sync set is left as it is.
     fn take_sorted(&mut self) -> Vec<u32> {
         let mut t = std::mem::take(&mut self.touched);
         t.sort_unstable();
         for &i in &t {
-            self.words[i as usize / 64] &= !(1u64 << (i % 64));
+            let (w, shift) = DirtySet::slot(i as usize);
+            self.words[w] &= !(TOUCHED_BIT << shift);
         }
         t
+    }
+
+    /// Drains the sync set, visiting its rows in marking order. The
+    /// extraction set is left as it is.
+    fn drain_unsynced(&mut self, mut visit: impl FnMut(usize)) {
+        for &i in &self.unsynced {
+            let (w, shift) = DirtySet::slot(i as usize);
+            self.words[w] &= !(UNSYNCED_BIT << shift);
+            visit(i as usize);
+        }
+        self.unsynced.clear();
     }
 }
 
@@ -426,8 +458,9 @@ pub struct ProfileDatabase {
     pub invalid_samples: u64,
     /// Total valid samples aggregated.
     pub total_samples: u64,
-    /// Rows touched since the last delta extraction. Bookkeeping, not
-    /// content: excluded from equality, serialization, and snapshots.
+    /// Rows touched since the last delta extraction and since the
+    /// last checkpoint sync. Bookkeeping, not content: excluded from
+    /// equality, serialization, and snapshots.
     dirty: DirtySet,
 }
 
@@ -810,6 +843,37 @@ impl ProfileDatabase {
         Ok(wire::encode(DELTA_MAGIC, &header, &rows))
     }
 
+    /// Brings `checkpoint` (a past state of `self`) up to date by
+    /// copying only the rows touched since the previous sync, plus the
+    /// stream counters — O(touched), never O(image).
+    ///
+    /// Each copied row is also marked dirty in `checkpoint`, so a
+    /// clone of the checkpoint re-extracts every row it holds: a crash
+    /// rebuild (`checkpoint.clone()` plus a replay of what was added
+    /// since) then publishes everything that may differ from the last
+    /// extraction's base. The sync set is independent of
+    /// [`extract_delta`](ProfileDatabase::extract_delta)'s: neither
+    /// drains the other.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::Mismatch`] if `checkpoint` describes a
+    /// different program image or sampling interval.
+    pub fn sync_checkpoint(
+        &mut self,
+        checkpoint: &mut ProfileDatabase,
+    ) -> Result<(), ProfileError> {
+        self.check_compatible(checkpoint)?;
+        let per_pc = &self.per_pc;
+        self.dirty.drain_unsynced(|i| {
+            checkpoint.per_pc[i] = per_pc[i];
+            checkpoint.dirty.mark(i);
+        });
+        checkpoint.invalid_samples = self.invalid_samples;
+        checkpoint.total_samples = self.total_samples;
+        Ok(())
+    }
+
     /// Applies delta bytes produced by
     /// [`extract_delta`](ProfileDatabase::extract_delta): field-wise
     /// addition of every carried row plus the stream counters, in
@@ -973,8 +1037,9 @@ pub struct PairProfileDatabase {
     pub total_pairs: u64,
     /// Pairs discarded because a half was an empty selection.
     pub incomplete_pairs: u64,
-    /// Rows touched since the last delta extraction (bookkeeping, not
-    /// content — see [`ProfileDatabase`]).
+    /// Rows touched since the last delta extraction and since the
+    /// last checkpoint sync (bookkeeping, not content — see
+    /// [`ProfileDatabase`]).
     dirty: DirtySet,
 }
 
@@ -1336,6 +1401,28 @@ impl PairProfileDatabase {
         base.total_pairs = self.total_pairs;
         base.incomplete_pairs = self.incomplete_pairs;
         Ok(wire::encode(PAIR_DELTA_MAGIC, &header, &rows))
+    }
+
+    /// Brings `checkpoint` up to date in O(touched), as
+    /// [`ProfileDatabase::sync_checkpoint`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::Mismatch`] on image/interval/window
+    /// mismatch.
+    pub fn sync_checkpoint(
+        &mut self,
+        checkpoint: &mut PairProfileDatabase,
+    ) -> Result<(), ProfileError> {
+        self.check_compatible(checkpoint)?;
+        let per_pc = &self.per_pc;
+        self.dirty.drain_unsynced(|i| {
+            checkpoint.per_pc[i] = per_pc[i];
+            checkpoint.dirty.mark(i);
+        });
+        checkpoint.total_pairs = self.total_pairs;
+        checkpoint.incomplete_pairs = self.incomplete_pairs;
+        Ok(())
     }
 
     /// Applies delta bytes produced by

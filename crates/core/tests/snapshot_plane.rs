@@ -1,7 +1,8 @@
 //! Property tests of the sparse snapshot plane: the delta algebra
 //! (`extract_delta`/`apply_delta`) over random add/merge
-//! interleavings, and dense/sparse decoder agreement on every
-//! snapshot.
+//! interleavings, the checkpoint algebra (`sync_checkpoint` plus a
+//! crash rebuild) interleaved with it, and dense/sparse decoder
+//! agreement on every snapshot.
 
 use profileme_cfg::BranchHistory;
 use profileme_core::{
@@ -213,5 +214,157 @@ proptest! {
                 full.iter().take(n).cloned().collect::<Vec<_>>()
             );
         }
+    }
+}
+
+/// The database calls a shard worker makes, for both database types.
+trait Plane: Clone {
+    type Item;
+    fn add_item(&mut self, item: &Self::Item);
+    fn extract(&mut self, base: &mut Self) -> Vec<u8>;
+    fn apply(&mut self, chunk: &[u8]);
+    fn sync(&mut self, checkpoint: &mut Self);
+    fn sparse(&self) -> Vec<u8>;
+}
+
+impl Plane for ProfileDatabase {
+    type Item = Sample;
+    fn add_item(&mut self, item: &Sample) {
+        self.add(item);
+    }
+    fn extract(&mut self, base: &mut Self) -> Vec<u8> {
+        self.extract_delta(base).unwrap()
+    }
+    fn apply(&mut self, chunk: &[u8]) {
+        self.apply_delta(chunk).unwrap();
+    }
+    fn sync(&mut self, checkpoint: &mut Self) {
+        self.sync_checkpoint(checkpoint).unwrap();
+    }
+    fn sparse(&self) -> Vec<u8> {
+        self.encode(WireFormat::Sparse).unwrap()
+    }
+}
+
+impl Plane for PairProfileDatabase {
+    type Item = PairedSample;
+    fn add_item(&mut self, item: &PairedSample) {
+        self.add(item);
+    }
+    fn extract(&mut self, base: &mut Self) -> Vec<u8> {
+        self.extract_delta(base).unwrap()
+    }
+    fn apply(&mut self, chunk: &[u8]) {
+        self.apply_delta(chunk).unwrap();
+    }
+    fn sync(&mut self, checkpoint: &mut Self) {
+        self.sync_checkpoint(checkpoint).unwrap();
+    }
+    fn sparse(&self) -> Vec<u8> {
+        self.encode(WireFormat::Sparse).unwrap()
+    }
+}
+
+/// One step of a shard worker's life.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Absorb an item built from two rows.
+    Add(u64, u64),
+    /// Publish the delta since the last extraction into the view.
+    Extract,
+    /// Bring the checkpoint up to date.
+    Sync,
+    /// Lose the accumulator: rebuild it as a clone of the checkpoint
+    /// plus a replay of everything added since the last sync.
+    Crash,
+}
+
+/// Half the steps add; the rest split evenly.
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u8..6, 0..IMAGE_LEN, 0..IMAGE_LEN).prop_map(|(kind, a, b)| match kind {
+        0 => Step::Extract,
+        1 => Step::Sync,
+        2 => Step::Crash,
+        _ => Step::Add(a, b),
+    })
+}
+
+/// Runs `steps` against a worker's accumulator, extraction base, view
+/// and checkpoint. After every step the view must equal direct
+/// aggregation of what was added before the last extraction, and the
+/// accumulator direct aggregation of everything; right after a sync,
+/// the checkpoint must equal the accumulator.
+fn check_checkpoint_algebra<D: Plane>(
+    empty: &D,
+    item: impl Fn(u64, u64) -> D::Item,
+    steps: &[Step],
+) {
+    let mut acc = empty.clone();
+    let mut base = empty.clone();
+    let mut view = empty.clone();
+    let mut checkpoint = empty.clone();
+    let mut direct = empty.clone();
+    let mut published = empty.sparse();
+    let mut since_sync = Vec::new();
+    for step in steps {
+        match step {
+            Step::Add(a, b) => {
+                let it = item(*a, *b);
+                acc.add_item(&it);
+                direct.add_item(&it);
+                since_sync.push(it);
+            }
+            Step::Extract => {
+                let chunk = acc.extract(&mut base);
+                view.apply(&chunk);
+                published = direct.sparse();
+            }
+            Step::Sync => {
+                acc.sync(&mut checkpoint);
+                since_sync.clear();
+                prop_assert_eq!(checkpoint.sparse(), acc.sparse(), "sync left a row behind");
+            }
+            Step::Crash => {
+                acc = checkpoint.clone();
+                for it in &since_sync {
+                    acc.add_item(it);
+                }
+            }
+        }
+        prop_assert_eq!(view.sparse(), published.clone(), "after {:?}", step);
+        prop_assert_eq!(acc.sparse(), direct.sparse(), "after {:?}", step);
+    }
+    let chunk = acc.extract(&mut base);
+    view.apply(&chunk);
+    prop_assert_eq!(view.sparse(), direct.sparse(), "the last extraction");
+}
+
+proptest! {
+    /// Checkpoint syncs, crash rebuilds and delta extraction compose
+    /// for the single-sample database: a rebuilt accumulator's next
+    /// delta still carries every row that moved past the view.
+    #[test]
+    fn checkpoint_sync_and_crash_rebuild_keep_the_view_exact(
+        steps in prop::collection::vec(arb_step(), 1..60),
+    ) {
+        let p = program();
+        check_checkpoint_algebra(
+            &ProfileDatabase::new(&p, 100),
+            |row, bits| sample(&p, row, bits as u16, bits % 2 == 0),
+            &steps,
+        );
+    }
+
+    /// The same checkpoint algebra for the pair database.
+    #[test]
+    fn pair_checkpoint_sync_and_crash_rebuild_keep_the_view_exact(
+        steps in prop::collection::vec(arb_step(), 1..60),
+    ) {
+        let p = program();
+        check_checkpoint_algebra(
+            &PairProfileDatabase::new(&p, 100, 16),
+            |a, b| pair(&p, a, b, a + b),
+            &steps,
+        );
     }
 }

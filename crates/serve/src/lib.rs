@@ -17,9 +17,10 @@
 //!   sample aggregation is a per-PC sum, so sharding cannot change the
 //!   answer;
 //! * **supervision** ([`SuperviseConfig`]): workers run under
-//!   `catch_unwind` with a checkpoint + journal they rebuild from, so
-//!   a panicking worker is recovered in place — a transient panic
-//!   loses *nothing* (the snapshot stays byte-identical), and a
+//!   `catch_unwind` with an in-memory checkpoint, synced in
+//!   O(touched rows), plus a journal of the messages since; a
+//!   panicking worker is rebuilt in place from the two — a transient
+//!   panic loses *nothing* (the snapshot stays byte-identical), and a
 //!   message that panics twice is dropped whole with exact accounting;
 //! * **deadlines**: [`ingest_deadline`](ShardedService::ingest_deadline),
 //!   [`snapshot_deadline`](ShardedService::snapshot_deadline), and

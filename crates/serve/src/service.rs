@@ -46,9 +46,11 @@ use std::time::{Duration, Instant};
 ///
 /// Implementations must make `absorb` a commutative, associative
 /// accumulation (sums, maxes over disjoint keys, …) for the service's
-/// shard-count-independence invariant to hold, and the checkpoint
-/// round-trip must be exact (`from_checkpoint_bytes(checkpoint_bytes(x))`
-/// behaves identically to `x`) for crash recovery to preserve it.
+/// shard-count-independence invariant to hold. Crash recovery relies
+/// on [`sync_checkpoint`](ShardAggregate::sync_checkpoint) and
+/// durable recovery on the image round-trip
+/// (`from_checkpoint_bytes(checkpoint_bytes(x))` behaves identically
+/// to `x`).
 pub trait ShardAggregate: Clone + Send + 'static {
     /// The streamed item.
     type Item: Send + 'static;
@@ -65,18 +67,21 @@ pub trait ShardAggregate: Clone + Send + 'static {
     /// describe the same program/configuration.
     fn merge(&mut self, other: &Self) -> Result<(), ProfileError>;
 
-    /// Serializes the accumulator as a full image — used for
-    /// crash-recovery checkpoints and the durable store's compaction
-    /// snapshots. Implementations must route through their type's one
-    /// canonical encode entry point (for the profile databases,
-    /// `encode(WireFormat::Sparse)`).
+    /// Serializes the accumulator as a full image: the durable
+    /// store's compaction image (`snap-<seq>.img`). Worker crash
+    /// recovery does not use it — see
+    /// [`sync_checkpoint`](ShardAggregate::sync_checkpoint).
+    /// Implementations must route through their type's one canonical
+    /// encode entry point (for the profile databases,
+    /// `encode(WireFormat::Sparse)`); the cost is O(image).
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::Snapshot`] if serialization fails.
     fn checkpoint_bytes(&self) -> Result<Vec<u8>, ProfileError>;
 
-    /// Rebuilds an accumulator from [`checkpoint_bytes`] output.
+    /// Rebuilds an accumulator from [`checkpoint_bytes`] output — how
+    /// the durable store decodes its compaction image on open.
     ///
     /// [`checkpoint_bytes`]: ShardAggregate::checkpoint_bytes
     ///
@@ -84,6 +89,24 @@ pub trait ShardAggregate: Clone + Send + 'static {
     ///
     /// Returns [`ProfileError::Snapshot`] if the bytes do not parse.
     fn from_checkpoint_bytes(bytes: &[u8]) -> Result<Self, ProfileError>;
+
+    /// Brings `checkpoint`, a past state of `self` cloned from the
+    /// same empty prototype, up to date with `self` in O(touched
+    /// rows): only what changed since the previous sync is copied.
+    /// This is the shard worker's crash-recovery checkpoint.
+    ///
+    /// Two rules make recovery exact. After a sync, `checkpoint`
+    /// equals `self` in content. And a clone of `checkpoint`, plus a
+    /// replay of every item absorbed since, must re-extract (in
+    /// [`extract_delta_bytes`](ShardAggregate::extract_delta_bytes))
+    /// everything that may differ from the extraction `base` — so the
+    /// sync marks what it copies as touched in `checkpoint` too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::Mismatch`] if `checkpoint` describes a
+    /// different program/configuration.
+    fn sync_checkpoint(&mut self, checkpoint: &mut Self) -> Result<(), ProfileError>;
 
     /// Serializes everything this accumulator absorbed since `base`
     /// (a past state of `self`, e.g. the empty prototype or the state
@@ -131,6 +154,10 @@ impl ShardAggregate for ProfileDatabase {
         ProfileDatabase::decode(bytes)
     }
 
+    fn sync_checkpoint(&mut self, checkpoint: &mut ProfileDatabase) -> Result<(), ProfileError> {
+        ProfileDatabase::sync_checkpoint(self, checkpoint)
+    }
+
     fn extract_delta_bytes(&mut self, base: &mut ProfileDatabase) -> Result<Vec<u8>, ProfileError> {
         self.extract_delta(base)
     }
@@ -157,6 +184,13 @@ impl ShardAggregate for PairProfileDatabase {
 
     fn from_checkpoint_bytes(bytes: &[u8]) -> Result<PairProfileDatabase, ProfileError> {
         PairProfileDatabase::decode(bytes)
+    }
+
+    fn sync_checkpoint(
+        &mut self,
+        checkpoint: &mut PairProfileDatabase,
+    ) -> Result<(), ProfileError> {
+        PairProfileDatabase::sync_checkpoint(self, checkpoint)
     }
 
     fn extract_delta_bytes(
@@ -376,7 +410,7 @@ pub struct IngestStats {
     /// Items absorbed into a worker state that was then lost to a
     /// twice-panicking message.
     pub lost_to_panics: u64,
-    /// Checkpoints taken across all shards.
+    /// Checkpoint syncs across all shards.
     pub checkpoints: u64,
     /// Deadline-bounded calls that ran out of budget.
     pub deadline_misses: u64,

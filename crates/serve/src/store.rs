@@ -32,7 +32,8 @@
 //! # Recovery ordering
 //!
 //! 1. pick the newest image that decodes (a half-written temporary
-//!    never has the final name);
+//!    never has the final name); when images exist but none decodes,
+//!    refuse with [`ProfileError::Store`] and change nothing;
 //! 2. drop segments and images older than it (leftovers of an
 //!    interrupted compaction cleanup);
 //! 3. replay the remaining segments in sequence order, applying each
@@ -222,21 +223,40 @@ fn recover_dir<A: ShardAggregate>(
     let mut replay = Replay::default();
     // 1. The newest decodable image wins. Temporaries from a crashed
     //    compaction never carry the final name and are swept here.
+    let images = list_images(dir)?;
     let mut state: Option<A> = None;
-    for (seq, path) in list_images(dir)?.into_iter().rev() {
-        if state.is_none() {
-            let bytes = fs::read(&path).map_err(|e| wal::io_err("read", &path, e))?;
-            if let Ok(decoded) = A::from_checkpoint_bytes(&bytes) {
+    let mut newest_failure: Option<(&Path, ProfileError)> = None;
+    for (seq, path) in images.iter().rev() {
+        let bytes = fs::read(path).map_err(|e| wal::io_err("read", path, e))?;
+        match A::from_checkpoint_bytes(&bytes) {
+            Ok(decoded) => {
                 state = Some(decoded);
-                replay.image_seq = Some(seq);
-                continue;
+                replay.image_seq = Some(*seq);
+                break;
+            }
+            Err(e) => {
+                newest_failure.get_or_insert((path, e));
             }
         }
-        if repair {
-            fs::remove_file(&path).map_err(|e| wal::io_err("remove", &path, e))?;
-        }
+    }
+    // Images exist but none decodes: refuse and delete nothing. The
+    // newest image holds history that compaction already trimmed from
+    // the segments, so starting from empty would silently lose it.
+    if let (None, Some((path, e))) = (&state, newest_failure) {
+        return Err(ProfileError::store_at(
+            format!("no snapshot image decodes (newest: {e})"),
+            path,
+            None,
+        ));
     }
     if repair {
+        // Everything but the chosen image: undecodable newer debris
+        // and superseded older images.
+        for (seq, path) in &images {
+            if Some(*seq) != replay.image_seq {
+                fs::remove_file(path).map_err(|e| wal::io_err("remove", path, e))?;
+            }
+        }
         for entry in fs::read_dir(dir).map_err(|e| wal::io_err("list", dir, e))? {
             let entry = entry.map_err(|e| wal::io_err("list", dir, e))?;
             let name = entry.file_name();
@@ -322,9 +342,11 @@ impl<A: ShardAggregate> ProfileStore<A> {
     /// # Errors
     ///
     /// Returns [`ProfileError::Config`] for an invalid `cfg`,
-    /// [`ProfileError::Store`] for I/O failures or an interior torn
-    /// record, and [`ProfileError::Mismatch`] if the stored profile
-    /// does not describe `empty`'s program.
+    /// [`ProfileError::Store`] for I/O failures, an interior torn
+    /// record, or image files none of which decodes (naming the newest
+    /// and its decode error; nothing is deleted), and
+    /// [`ProfileError::Mismatch`] if the stored profile does not
+    /// describe `empty`'s program.
     pub fn open(cfg: StoreConfig, empty: A) -> Result<(ProfileStore<A>, A), ProfileError> {
         cfg.validate()?;
         fs::create_dir_all(&cfg.data_dir).map_err(|e| wal::io_err("create", &cfg.data_dir, e))?;
@@ -366,7 +388,7 @@ impl<A: ShardAggregate> ProfileStore<A> {
     /// # Errors
     ///
     /// As [`open`](ProfileStore::open), plus [`ProfileError::Store`]
-    /// if the directory holds no decodable image.
+    /// if the directory holds no image at all.
     pub fn open_existing(cfg: StoreConfig) -> Result<(ProfileStore<A>, A), ProfileError> {
         cfg.validate()?;
         let (state, replay) = recover_dir::<A>(&cfg.data_dir, None, true)?;

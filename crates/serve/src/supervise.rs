@@ -4,25 +4,28 @@
 //! processing is wrapped in [`catch_unwind`], and the worker keeps a
 //! **checkpoint + journal** pair it can rebuild from —
 //!
-//! * every `checkpoint_every` messages the accumulator is serialized
-//!   (via [`ShardAggregate::checkpoint_bytes`], which reuses the
-//!   databases' canonical `encode(WireFormat::Sparse)` wire image)
-//!   and the journal
-//!   is cleared;
+//! * the checkpoint is an in-memory aggregate, cloned from the same
+//!   empty prototype as the accumulator. Every `checkpoint_every`
+//!   messages [`ShardAggregate::sync_checkpoint`] copies into it the
+//!   rows touched since the previous sync — O(touched rows), never
+//!   O(image) — and the journal is cleared;
 //! * every successfully absorbed message is appended to the journal
 //!   (by *moving* the already-owned batch, so the lossless hot path
 //!   never clones a sample).
 //!
 //! On a panic the supervisor records the failure, rebuilds the
-//! accumulator from checkpoint-plus-journal-replay, and **retries the
-//! in-flight message once**: a transient panic (the common injected
-//! case) therefore loses nothing and the recovered `snapshot()` is
-//! byte-identical to direct aggregation. A message that panics twice
-//! is dropped whole with exact accounting (`lost_to_panics`) — a
-//! crash loses at most the in-flight batch. A worker that exhausts
-//! its recovery budget (or cannot deserialize its own checkpoint)
-//! fails the shard loudly: it closes its ring so producers unblock
-//! and later `snapshot`/`shutdown` calls surface
+//! accumulator as a clone of the checkpoint plus a replay of the
+//! journal (nothing is decoded), and **retries the in-flight message
+//! once**: a transient panic (the common injected case) therefore
+//! loses nothing and the recovered `snapshot()` is byte-identical to
+//! direct aggregation. The sync marks every row it copies as touched
+//! in the checkpoint too, so the rebuilt accumulator's next delta
+//! re-publishes whatever may have moved past the last extraction. A
+//! message that panics twice is dropped whole with exact accounting
+//! (`lost_to_panics`) — a crash loses at most the in-flight batch. A
+//! worker that exhausts its recovery budget fails the shard loudly:
+//! it closes its ring so producers unblock and later
+//! `snapshot`/`shutdown` calls surface
 //! [`ProfileError::WorkerCrashed`](profileme_core::ProfileError).
 //!
 //! # Snapshots ride the ring
@@ -64,13 +67,13 @@ pub struct SuperviseConfig {
 impl Default for SuperviseConfig {
     fn default() -> SuperviseConfig {
         SuperviseConfig {
-            // A checkpoint is a full `encode(WireFormat::Sparse)` image:
-            // it scans every row of the table (for `Tenanted`, of the
-            // prototype and of every tenant view), so it costs O(image),
-            // not O(touched rows). In a traced `fleet_absorb` run
-            // (8 tenants, 2 vCPUs) one took 2.97 ms at p50, against
-            // 0.33 ms to absorb the 16 batches before it. 16 bounds the
-            // worst-case journal replay on recovery.
+            // A checkpoint sync copies only the rows touched since the
+            // previous sync (for `Tenanted`, only in the tenants
+            // touched since), so it costs O(touched): 0.21–0.26 ms at
+            // p50 for 16 batches of 256 samples over 8 `gcc` tenants
+            // on a 2-vCPU host, where encoding the full image took
+            // 3.7 ms. 16 bounds the journal, and so the worst-case
+            // replay on recovery.
             checkpoint_every: 16,
             max_recoveries: 1024,
         }
@@ -199,22 +202,15 @@ fn apply_fault<A: ShardAggregate>(ctx: &WorkerCtx<A>, idx: Option<u64>) {
     }
 }
 
-/// Rebuilds a shard accumulator from its last checkpoint plus a replay
-/// of the journal — the state exactly as of the last successfully
-/// absorbed message.
-fn rebuild<A: ShardAggregate>(
-    empty: &A,
-    checkpoint: Option<&[u8]>,
-    journal: &[Work<A>],
-) -> Result<A, ProfileError> {
-    let mut acc = match checkpoint {
-        Some(bytes) => A::from_checkpoint_bytes(bytes)?,
-        None => empty.clone(),
-    };
+/// Rebuilds a shard accumulator as a clone of its checkpoint plus a
+/// replay of the journal — the state exactly as of the last
+/// successfully absorbed message.
+fn rebuild<A: ShardAggregate>(checkpoint: &A, journal: &[Work<A>]) -> A {
+    let mut acc = checkpoint.clone();
     for work in journal {
         work.absorb_into(&mut acc);
     }
-    Ok(acc)
+    acc
 }
 
 /// Closes the shard's ring on any abnormal worker exit — an explicit
@@ -287,7 +283,8 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
     // The accumulator state as of the last delta this worker shipped.
     // `extract_delta_bytes` advances it in O(touched).
     let mut base = ctx.empty.clone();
-    let mut checkpoint: Option<Vec<u8>> = None;
+    // The accumulator state as of the last checkpoint sync.
+    let mut checkpoint = ctx.empty.clone();
     let mut journal: Vec<Work<A>> = Vec::new();
     let mut since_checkpoint = 0u32;
     let mut recoveries_left = ctx.cfg.max_recoveries;
@@ -326,19 +323,8 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
                     recoveries_left -= 1;
                     // The panic may have left `acc` half-updated;
                     // rebuild it to the last consistent state.
-                    match rebuild(&ctx.empty, checkpoint.as_deref(), &journal) {
-                        Ok(rebuilt) => {
-                            acc = rebuilt;
-                            ctx.counters.recoveries.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // Cannot restore our own checkpoint: fail
-                            // the shard loudly (via the guard) rather
-                            // than serve a silently-wrong aggregate.
-                            work.settle();
-                            return;
-                        }
-                    }
+                    acc = rebuild(&checkpoint, &journal);
+                    ctx.counters.recoveries.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -347,14 +333,13 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
             journal.push(work);
             since_checkpoint += 1;
             if since_checkpoint >= ctx.cfg.checkpoint_every {
-                // On serialization failure keep the journal: recovery
-                // replays more but stays exact.
-                if let Ok(bytes) = acc.checkpoint_bytes() {
-                    checkpoint = Some(bytes);
-                    journal.clear();
-                    since_checkpoint = 0;
-                    ctx.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-                }
+                // Infallible by construction, as `answer`'s extract:
+                // the checkpoint was cloned from the same prototype.
+                acc.sync_checkpoint(&mut checkpoint)
+                    .expect("checkpoint is a past state of this accumulator");
+                journal.clear();
+                since_checkpoint = 0;
+                ctx.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
             }
         } else {
             // Both attempts panicked: the in-flight message is lost,

@@ -178,24 +178,40 @@ impl TokenBucket {
 /// aggregation of that tenant's stream — regardless of what happened
 /// to other tenants.
 ///
-/// The checkpoint image frames the prototype plus every tenant view
-/// (magic `PMTC`); deltas frame one chunk per tenant touched since the
-/// last extraction (magic `PMTD`), so epoch publication stays
+/// The store image frames the prototype plus every tenant view (magic
+/// `PMTC`); deltas frame one chunk per tenant touched since the last
+/// extraction (magic `PMTD`), and a checkpoint sync visits only the
+/// tenants touched since the previous sync, so both stay
 /// O(touched tenants × touched rows).
 #[derive(Debug, Clone)]
 pub struct Tenanted<A: ShardAggregate> {
     /// The empty prototype new tenant views are cloned from.
     proto: A,
     /// Tenant views, sorted by tenant id (binary-searchable, and a
-    /// canonical order for checkpoints and merges).
-    views: Vec<(u32, A)>,
+    /// canonical order for images and merges).
+    views: Vec<View<A>>,
     /// Tenant ids touched since the last delta extraction — tracked
     /// here so extraction never serializes an unchanged tenant,
-    /// independent of `A`'s wire format. Part of the checkpoint image:
-    /// a crash-rebuilt accumulator must still know which tenants its
-    /// next delta owes chunks for.
+    /// independent of `A`'s wire format.
     touched: Vec<u32>,
+    /// Tenant ids touched since the last checkpoint sync, fed by the
+    /// same [`mark_touched`](Tenanted::mark_touched) as `touched`.
+    unsynced: Vec<u32>,
 }
+
+/// One tenant's view, with marks saying whether its id is already in
+/// [`Tenanted`]'s `touched` and `unsynced` lists — so marking a view
+/// on every absorb is one byte compare, not a scan of either list.
+#[derive(Debug, Clone)]
+struct View<A> {
+    id: u32,
+    marks: u8,
+    agg: A,
+}
+
+/// [`View::marks`] bits.
+const IN_TOUCHED: u8 = 0b01;
+const IN_UNSYNCED: u8 = 0b10;
 
 const TENANT_CHECKPOINT_MAGIC: &[u8; 4] = b"PMTC";
 const TENANT_DELTA_MAGIC: &[u8; 4] = b"PMTD";
@@ -250,37 +266,62 @@ impl<A: ShardAggregate> Tenanted<A> {
             proto,
             views: Vec::new(),
             touched: Vec::new(),
+            unsynced: Vec::new(),
         }
+    }
+
+    fn find(&self, id: u32) -> Result<usize, usize> {
+        self.views.binary_search_by_key(&id, |v| v.id)
     }
 
     /// The view index for `id`, creating the view when absent.
     fn view_index(&mut self, id: u32) -> usize {
-        match self.views.binary_search_by_key(&id, |(t, _)| *t) {
-            Ok(i) => i,
-            Err(i) => {
-                self.views.insert(i, (id, self.proto.clone()));
-                i
+        self.find(id).unwrap_or_else(|i| {
+            let agg = self.proto.clone();
+            self.views.insert(i, View { id, marks: 0, agg });
+            i
+        })
+    }
+
+    /// Records that view `i` changed: its id joins `touched` and
+    /// `unsynced` unless already there.
+    fn mark_touched(&mut self, i: usize) {
+        let view = &mut self.views[i];
+        if view.marks != IN_TOUCHED | IN_UNSYNCED {
+            if view.marks & IN_TOUCHED == 0 {
+                self.touched.push(view.id);
             }
+            if view.marks & IN_UNSYNCED == 0 {
+                self.unsynced.push(view.id);
+            }
+            view.marks = IN_TOUCHED | IN_UNSYNCED;
         }
     }
 
-    fn mark_touched(&mut self, id: u32) {
-        if !self.touched.contains(&id) {
-            self.touched.push(id);
+    /// Empties the id list that `mark` names, clearing that mark on
+    /// each of its views, and returns the ids.
+    fn take_marked(&mut self, mark: u8) -> Vec<u32> {
+        let list = if mark == IN_TOUCHED {
+            &mut self.touched
+        } else {
+            &mut self.unsynced
+        };
+        let ids = std::mem::take(list);
+        for &id in &ids {
+            let i = self.find(id).expect("marked ids name existing views");
+            self.views[i].marks &= !mark;
         }
+        ids
     }
 
     /// The tenant's view, if it has absorbed anything.
     pub fn tenant(&self, id: TenantId) -> Option<&A> {
-        self.views
-            .binary_search_by_key(&id.0, |(t, _)| *t)
-            .ok()
-            .map(|i| &self.views[i].1)
+        self.find(id.0).ok().map(|i| &self.views[i].agg)
     }
 
     /// Every tenant present, in id order.
     pub fn tenants(&self) -> impl Iterator<Item = (TenantId, &A)> {
-        self.views.iter().map(|(id, v)| (TenantId(*id), v))
+        self.views.iter().map(|v| (TenantId(v.id), &v.agg))
     }
 
     /// How many tenants have a view.
@@ -298,20 +339,19 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
     type Item = (TenantId, A::Item);
 
     fn absorb(&mut self, item: &Self::Item) {
-        let id = item.0 .0;
-        let i = self.view_index(id);
-        self.views[i].1.absorb(&item.1);
-        self.mark_touched(id);
+        let i = self.view_index(item.0 .0);
+        self.views[i].agg.absorb(&item.1);
+        self.mark_touched(i);
     }
 
     fn merge(&mut self, other: &Tenanted<A>) -> Result<(), ProfileError> {
         // The prototypes must agree even when `other` has no views:
         // every view created later is cloned from `self.proto`.
         self.proto.clone().merge(&other.proto)?;
-        for (id, view) in &other.views {
-            let i = self.view_index(*id);
-            self.views[i].1.merge(view)?;
-            self.mark_touched(*id);
+        for view in &other.views {
+            let i = self.view_index(view.id);
+            self.views[i].agg.merge(&view.agg)?;
+            self.mark_touched(i);
         }
         Ok(())
     }
@@ -321,14 +361,13 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         out.extend_from_slice(TENANT_CHECKPOINT_MAGIC);
         push_chunk(&mut out, &self.proto.checkpoint_bytes()?);
         out.extend_from_slice(&(self.views.len() as u32).to_le_bytes());
-        for (id, view) in &self.views {
-            out.extend_from_slice(&id.to_le_bytes());
-            push_chunk(&mut out, &view.checkpoint_bytes()?);
+        for view in &self.views {
+            out.extend_from_slice(&view.id.to_le_bytes());
+            push_chunk(&mut out, &view.agg.checkpoint_bytes()?);
         }
-        // The touched set is state too: a crash-rebuilt accumulator
-        // must still know which tenants its next delta owes chunks
-        // for, or a recovery between an absorb and an extraction
-        // would silently lose that tenant's span.
+        // The touched trailer is part of the image format only: a
+        // decoded image marks every view instead (see
+        // `from_checkpoint_bytes`).
         let mut touched = self.touched.clone();
         touched.sort_unstable();
         out.extend_from_slice(&(touched.len() as u32).to_le_bytes());
@@ -355,41 +394,65 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         let mut views = Vec::with_capacity(count);
         for _ in 0..count {
             let id = read_u32(bytes, &mut at)?;
-            views.push((id, A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?));
+            let agg = A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?;
+            views.push(View {
+                id,
+                marks: IN_TOUCHED | IN_UNSYNCED,
+                agg,
+            });
         }
+        // The touched trailer is checked but not trusted: every
+        // decoded view is marked touched and unsynced instead — a
+        // superset, like the rows `decode` marks.
         let touched_count = read_count(bytes, &mut at, 4)?;
-        let mut touched = Vec::with_capacity(touched_count);
         for _ in 0..touched_count {
-            touched.push(read_u32(bytes, &mut at)?);
+            read_u32(bytes, &mut at)?;
         }
+        let ids: Vec<u32> = views.iter().map(|v| v.id).collect();
         Ok(Tenanted {
             proto,
             views,
-            touched,
+            touched: ids.clone(),
+            unsynced: ids,
         })
+    }
+
+    fn sync_checkpoint(&mut self, checkpoint: &mut Tenanted<A>) -> Result<(), ProfileError> {
+        // Only tenants touched since the last sync owe the checkpoint
+        // anything; the prototype never changes.
+        for id in self.take_marked(IN_UNSYNCED) {
+            let i = self.find(id).expect("marked ids name existing views");
+            let ci = checkpoint.view_index(id);
+            self.views[i]
+                .agg
+                .sync_checkpoint(&mut checkpoint.views[ci].agg)?;
+            // A clone of the checkpoint must re-extract this tenant:
+            // its view may have moved past the extraction base.
+            checkpoint.mark_touched(ci);
+        }
+        Ok(())
     }
 
     fn extract_delta_bytes(&mut self, base: &mut Tenanted<A>) -> Result<Vec<u8>, ProfileError> {
         // Only tenants touched since the last extraction produce a
         // chunk; everyone else's base view is already identical.
-        let mut touched = std::mem::take(&mut self.touched);
+        let mut touched = self.take_marked(IN_TOUCHED);
         touched.sort_unstable();
         let mut out = Vec::new();
         out.extend_from_slice(TENANT_DELTA_MAGIC);
         out.extend_from_slice(&(touched.len() as u32).to_le_bytes());
         for id in touched {
-            let i = self
-                .views
-                .binary_search_by_key(&id, |(t, _)| *t)
-                .expect("touched ids name existing views");
+            let i = self.find(id).expect("marked ids name existing views");
             let bi = base.view_index(id);
             out.extend_from_slice(&id.to_le_bytes());
             push_chunk(
                 &mut out,
-                &self.views[i].1.extract_delta_bytes(&mut base.views[bi].1)?,
+                &self.views[i]
+                    .agg
+                    .extract_delta_bytes(&mut base.views[bi].agg)?,
             );
         }
-        base.touched.clear();
+        base.take_marked(IN_TOUCHED);
         Ok(out)
     }
 
@@ -409,8 +472,8 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
             let id = read_u32(bytes, &mut at)?;
             let chunk = read_chunk(bytes, &mut at)?;
             let i = self.view_index(id);
-            self.views[i].1.apply_delta_bytes(chunk)?;
-            self.mark_touched(id);
+            self.views[i].agg.apply_delta_bytes(chunk)?;
+            self.mark_touched(i);
         }
         Ok(())
     }

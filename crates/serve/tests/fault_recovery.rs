@@ -113,7 +113,7 @@ fn single_panic_recovers_byte_identically() {
 
 /// Recovery still works when the panic lands mid-journal, across many
 /// checkpoints (small `checkpoint_every` forces several rebuild+replay
-/// cycles over real checkpoint bytes).
+/// cycles over a checkpoint kept in sync in O(touched)).
 #[test]
 fn recovery_replays_checkpoint_plus_journal() {
     let s = single_stream();
@@ -134,15 +134,70 @@ fn recovery_replays_checkpoint_plus_journal() {
     assert!(stats.checkpoints > 0, "checkpoints were actually taken");
     assert_eq!(stats.lost(), 0);
     assert_eq!(merged.encode(WireFormat::Sparse).unwrap(), s.direct);
-    // Those checkpoints rode the sparse columnar encoding
-    // (`checkpoint_bytes` == `encode(WireFormat::Sparse)`,
-    // magic-tagged "PMS1"),
-    // and journal replay over them stayed byte-identical.
+    // Journal replay over those in-memory checkpoints stayed
+    // byte-identical to the direct sparse columnar image
+    // (magic-tagged "PMS1").
     assert_eq!(
         &s.direct[..4],
         b"PMS1",
         "checkpoints use the sparse wire format"
     );
+}
+
+/// A multi-tenant crash right after a checkpoint sync: tenants A and B
+/// reach the checkpoint after the first snapshot, then tenant C's
+/// batch panics. The rebuilt accumulator is a clone of that
+/// checkpoint with an empty journal, so the next snapshot's delta
+/// carries A's and B's spans only because the sync marked them as
+/// touched in the checkpoint — per tenant and per row.
+#[test]
+fn fleet_crash_right_after_a_checkpoint_sync_loses_nothing() {
+    let s = single_stream();
+    let fleet = FleetService::start_with_faults(
+        ProfileDatabase::new(&s.program, s.interval),
+        ServeConfig::builder()
+            .shards(1)
+            .supervise(SuperviseConfig {
+                checkpoint_every: 2,
+                ..SuperviseConfig::default()
+            })
+            .build()
+            .expect("config is valid"),
+        FleetConfig::uniform(3, TenantQuota::default()),
+        // Messages 1 (A) and 2 (B) trigger a sync; message 3 (C)
+        // panics once. Snapshot requests take no fault index.
+        FaultPlan::parse("panic:shard=0:nth=3").expect("plan parses"),
+    )
+    .expect("fleet starts");
+    let parts = [
+        (TenantId(0), &s.samples[..40]),
+        (TenantId(1), &s.samples[40..80]),
+        (TenantId(2), &s.samples[80..120]),
+    ];
+    let first = fleet.snapshot().expect("first snapshot");
+    assert!(first.merged.is_empty());
+    for (id, part) in parts {
+        fleet
+            .ingest_batch(id, part.to_vec())
+            .expect("tenant is registered");
+    }
+    let snap = fleet.snapshot().expect("snapshot survives the recovery");
+    for (id, part) in parts {
+        let mut direct = ProfileDatabase::new(&s.program, s.interval);
+        for sample in part {
+            direct.add(sample);
+        }
+        let view = snap.merged.tenant(id).expect("tenant is in the view");
+        assert_eq!(
+            view.encode(WireFormat::Sparse).unwrap(),
+            direct.encode(WireFormat::Sparse).unwrap(),
+            "{id} view diverged after the recovery"
+        );
+    }
+    let (_, stats) = fleet.shutdown().expect("fleet drains");
+    assert_eq!(stats.service.workers_recovered, 1);
+    assert_eq!(stats.service.lost(), 0);
+    assert!(stats.service.checkpoints > 0, "a checkpoint was synced");
 }
 
 /// A deadline-abandoned snapshot epoch must not lose its delta: the

@@ -386,6 +386,56 @@ fn interrupted_compaction_debris_is_swept() {
     assert!(!old_img.exists(), "superseded image swept");
 }
 
+/// A store whose images are all undecodable is refused, not reset:
+/// compaction already trimmed the segments the newest image covers,
+/// so starting from empty would silently drop that history. Nothing
+/// in the directory changes, and repairing the image recovers all of
+/// it.
+#[test]
+fn undecodable_only_image_is_refused_and_left_untouched() {
+    let tmp = TempStore::new("bad-image");
+    let (prefixes, covered) = write_log(&tmp.0, 512, 5, 20);
+    assert!(covered > 0, "some history lives only in the image");
+    let image = fs::read_dir(&tmp.0)
+        .expect("store dir lists")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "img"))
+        .expect("compaction wrote an image");
+    let good = fs::read(&image).expect("image reads");
+    let mut bad = good.clone();
+    bad[0] ^= 0xff;
+    fs::write(&image, &bad).expect("image writes");
+    let before = dir_contents(&tmp.0);
+
+    let s = single_stream();
+    let empty = ProfileDatabase::new(&s.program, s.interval);
+    match ProfileStore::open(StoreConfig::new(&tmp.0), empty.clone()) {
+        Err(ProfileError::Store { path, reason, .. }) => {
+            assert_eq!(path.as_deref(), Some(image.as_path()), "{reason}");
+            assert!(reason.contains("magic"), "the decode reason: {reason}");
+        }
+        other => panic!("expected Store, got {:?}", other.map(drop)),
+    }
+    assert!(matches!(
+        ProfileStore::<ProfileDatabase>::recover(&tmp.0),
+        Err(ProfileError::Store { .. })
+    ));
+    assert!(matches!(
+        ProfileStore::<ProfileDatabase>::open_existing(StoreConfig::new(&tmp.0)),
+        Err(ProfileError::Store { .. })
+    ));
+    assert_eq!(dir_contents(&tmp.0), before, "a refused open changed files");
+
+    fs::write(&image, &good).expect("image writes");
+    let (_store, recovered) =
+        ProfileStore::open(StoreConfig::new(&tmp.0), empty).expect("the repaired store opens");
+    assert_eq!(
+        &recovered.checkpoint_bytes().unwrap(),
+        prefixes.last().unwrap(),
+        "the repaired store recovers every record"
+    );
+}
+
 /// The full service loop: a `ShardedService` with a `data_dir`
 /// persists across restarts — the second process picks up exactly
 /// where the first stopped, and the combined view is byte-identical

@@ -571,6 +571,43 @@ fn store_subcommands_inspect_verify_dump_and_compact() {
     assert!(out.status.success());
 }
 
+/// A durable start over a store whose only image no longer decodes
+/// is refused: the image holds compacted history no segment still
+/// carries, so starting from empty would silently lose it.
+#[test]
+fn store_corrupt_image_refuses_to_serve() {
+    let dir = TempDir::new("corrupt-image");
+    let out = serve_stored(&dir);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = profileme(&["store", "compact", "--data-dir", dir.arg()]);
+    assert!(out.status.success());
+    let image = std::fs::read_dir(&dir.0)
+        .expect("store dir lists")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "img"))
+        .expect("compaction wrote an image");
+    let mut bytes = std::fs::read(&image).expect("image reads");
+    bytes[0] ^= 0xff;
+    std::fs::write(&image, &bytes).expect("image writes");
+
+    let out = serve_stored(&dir);
+    assert_eq!(out.status.code(), Some(1), "a corrupt image must refuse");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&image.display().to_string()),
+        "the error names the image: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&image).expect("the image is kept"),
+        bytes,
+        "a refused start leaves the image as it was"
+    );
+}
+
 #[test]
 fn store_verify_reports_a_corrupted_tail() {
     let dir = TempDir::new("torn");
