@@ -39,6 +39,29 @@ impl BranchHistory {
         BranchHistory::default()
     }
 
+    /// The history holding the `len` newest directions in the low bits
+    /// of `bits` (newest in bit 0), as [`low_bits`](Self::low_bits)
+    /// and [`len`](Self::len) report them. `None` if `len` exceeds
+    /// [`MAX_HISTORY`] or `bits` has a bit at or above `len`: no
+    /// sequence of [`shift`](Self::shift)s builds such a history.
+    ///
+    /// ```
+    /// use profileme_cfg::BranchHistory;
+    /// let mut h = BranchHistory::new();
+    /// h.shift(true);
+    /// h.shift(false);
+    /// assert_eq!(BranchHistory::from_raw(h.low_bits(h.len()), h.len()), Some(h));
+    /// assert_eq!(BranchHistory::from_raw(0b100, 2), None);
+    /// assert_eq!(BranchHistory::from_raw(0, 65), None);
+    /// ```
+    pub fn from_raw(bits: u64, len: usize) -> Option<BranchHistory> {
+        let fits = len >= MAX_HISTORY || bits >> len == 0;
+        (len <= MAX_HISTORY && fits).then_some(BranchHistory {
+            bits,
+            len: len as u8,
+        })
+    }
+
     /// Records a branch direction (`true` = taken). The oldest direction is
     /// discarded once [`MAX_HISTORY`] are held.
     pub fn shift(&mut self, taken: bool) {

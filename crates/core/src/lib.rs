@@ -77,7 +77,7 @@ pub use hw::{
     IntervalGenerator, NWayConfig, NWayHardware, PairedConfig, PairedHardware, ProfileMeConfig,
     ProfileMeHardware, SampleBuffer, SelectionMode,
 };
-pub use sample::{PairedSample, Sample};
+pub use sample::{PairedSample, Sample, MAX_BATCH_SAMPLES};
 pub use session::{Session, SessionBuilder};
 pub use sw::{
     confidence_interval, estimate_pair_metric, estimate_total, expected_cov,

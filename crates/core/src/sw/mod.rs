@@ -8,7 +8,7 @@ pub(crate) mod driver;
 mod estimate;
 mod pathprof;
 mod report;
-mod wire;
+pub(crate) mod wire;
 
 pub use concurrency::{
     estimate_pair_metric, instructions_retired_around, neighborhood_ipc, pipeline_population,

@@ -14,21 +14,48 @@
 //! | type | direction | body |
 //! |---|---|---|
 //! | `0x01` Hello | client → server | `[tenant: u32 LE]` |
-//! | `0x02` Batch | client → server | `[seq: u64 LE][samples: JSON]` |
+//! | `0x02` Batch | client → server | `[seq: u64 LE][samples: PMB1 batch]` |
 //! | `0x03` Bye   | client → server | empty |
 //! | `0x81` HelloAck | server → client | `[last_acked_seq: u64 LE]` |
 //! | `0x82` BatchAck | server → client | `[seq: u64 LE][level: u8][admitted: u64 LE][duplicate: u8]` |
 //! | `0x7F` Err   | server → client | UTF-8 message |
 //!
-//! Batch sequence numbers are per-tenant and strictly increasing; the
-//! server remembers the highest acknowledged sequence per tenant **for
-//! the lifetime of one server process** and acknowledges duplicates
-//! without re-ingesting them, so client retries after a lost ack are
-//! exactly-once within a server run. Across a server restart the map
-//! is empty: the client resends only batches that were never
-//! acknowledged, and acknowledged history is recovered from the
-//! durable store — together, at-least-once delivery with **no
-//! acknowledged-sample loss**.
+//! A Batch body is [`Sample::encode_batch`]'s binary layout of the
+//! Profile Registers, at most [`MAX_BATCH_SAMPLES`] samples. Its
+//! `PMB1` magic is the protocol's version tag: a body in any other
+//! layout, such as the JSON of a 0.9.0 producer, gets an Err frame and
+//! ingests nothing.
+//!
+//! # Exactly once within a server run
+//!
+//! Batch sequence numbers are per-tenant and strictly increasing. For
+//! the lifetime of one server process the server keeps, per tenant,
+//! the highest acknowledged sequence and the sequences whose ingest is
+//! still running. A handler decodes a batch, then claims its sequence
+//! under one lock:
+//!
+//! - at or below the high-water, it is acknowledged as a duplicate and
+//!   not re-ingested (a retry after a lost ack);
+//! - already claimed by another handler (a client that gave up waiting
+//!   and resent on a new connection), it gets an Err frame, and the
+//!   client retries until the first ingest settles;
+//! - otherwise the handler ingests it, releases the claim, and on
+//!   success raises the high-water to at least this sequence.
+//!
+//! Across a server restart the map is empty: the client resends only
+//! batches that were never acknowledged, and acknowledged history is
+//! recovered from the durable store — together, at-least-once delivery
+//! with **no acknowledged-sample loss**.
+//!
+//! # Reads
+//!
+//! A server handler reads in `READ_SLICE` (50 ms) slices so that it
+//! notices the stop flag. A slice that times out before a frame's
+//! first byte is an idle tick; once a frame has begun, the handler
+//! keeps reading through pauses until the frame completes or the stop
+//! flag rises. The payload buffer grows as bytes arrive, so a length
+//! prefix alone reserves at most `READ_CHUNK` (64 KiB). A client's
+//! read is bounded by its `io_timeout` instead, mid-frame included.
 //!
 //! # Client
 //!
@@ -40,12 +67,13 @@
 use crate::degrade::{DegradeLevel, RetryPolicy};
 use crate::tenant::{FleetService, TenantId};
 use crate::wal::{crc32, RECORD_HEADER_BYTES};
-use profileme_core::{ProfileError, Sample};
+use profileme_core::{ProfileError, Sample, MAX_BATCH_SAMPLES};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const MSG_HELLO: u8 = 0x01;
@@ -63,6 +91,9 @@ const MAX_FRAME_BYTES: u32 = 64 << 20;
 /// the stop flag.
 const READ_SLICE: Duration = Duration::from_millis(50);
 
+/// The most payload bytes a frame reserves before they arrive.
+const READ_CHUNK: usize = 64 << 10;
+
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
@@ -76,14 +107,41 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
     stream.write_all(&frame)
 }
 
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
 /// Reads one frame, verifying length bound and CRC. `Ok(None)` on a
 /// clean EOF at a frame boundary.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; RECORD_HEADER_BYTES as usize];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+///
+/// A read timeout before the frame's first byte is returned to the
+/// caller. With a `stop` flag (the server), a timeout after it only
+/// re-checks the flag and reads on; without one (the client), it ends
+/// the read.
+fn read_frame(
+    stream: &mut TcpStream,
+    stop: Option<&AtomicBool>,
+) -> std::io::Result<Option<Vec<u8>>> {
+    // Appends until `buf` holds `want` bytes; `Ok(false)` on EOF.
+    let mut fill = |buf: &mut Vec<u8>, want: usize, begun: bool| loop {
+        let missing = (want - buf.len()) as u64;
+        match Read::by_ref(stream).take(missing).read_to_end(buf) {
+            Ok(_) => return Ok(buf.len() == want),
+            Err(e) if is_timeout(&e) && (begun || !buf.is_empty()) => {
+                if stop.is_none_or(|stop| stop.load(Ordering::Acquire)) {
+                    return Err(e);
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    };
+    let mut header = Vec::with_capacity(RECORD_HEADER_BYTES as usize);
+    if !fill(&mut header, RECORD_HEADER_BYTES as usize, false)? {
+        return if header.is_empty() {
+            Ok(None)
+        } else {
+            Err(ErrorKind::UnexpectedEof.into())
+        };
     }
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
     let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
@@ -93,8 +151,10 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte bound"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
+    if !fill(&mut payload, len as usize, true)? {
+        return Err(ErrorKind::UnexpectedEof.into());
+    }
     if crc32(&payload) != crc {
         return Err(std::io::Error::new(
             ErrorKind::InvalidData,
@@ -124,10 +184,18 @@ pub struct FleetServer {
     local: SocketAddr,
     service: Arc<FleetService<profileme_core::ProfileDatabase>>,
     stop: Arc<AtomicBool>,
-    /// Highest acknowledged batch sequence per tenant, for this server
-    /// process's lifetime: the dedup window that makes same-run
-    /// retries exactly-once.
-    acked: Arc<Mutex<HashMap<u32, u64>>>,
+    /// Per-tenant batch sequences, for this server process's lifetime:
+    /// the dedup window that makes same-run retries exactly-once.
+    seqs: Arc<Mutex<HashMap<u32, TenantSeqs>>>,
+}
+
+/// One tenant's batch sequences in this server run.
+#[derive(Debug, Default)]
+struct TenantSeqs {
+    /// The highest acknowledged sequence; it only rises.
+    acked: u64,
+    /// Sequences a handler has claimed and is still ingesting.
+    inflight: Vec<u64>,
 }
 
 impl FleetServer {
@@ -149,7 +217,7 @@ impl FleetServer {
             local,
             service,
             stop: Arc::new(AtomicBool::new(false)),
-            acked: Arc::new(Mutex::new(HashMap::new())),
+            seqs: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -181,9 +249,9 @@ impl FleetServer {
                 Ok((stream, _peer)) => {
                     let service = Arc::clone(&self.service);
                     let stop = Arc::clone(&self.stop);
-                    let acked = Arc::clone(&self.acked);
+                    let seqs = Arc::clone(&self.seqs);
                     handlers.push(std::thread::spawn(move || {
-                        serve_connection(stream, &service, &stop, &acked);
+                        serve_connection(stream, &service, &stop, &seqs);
                     }));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -205,16 +273,17 @@ fn serve_connection(
     mut stream: TcpStream,
     service: &FleetService<profileme_core::ProfileDatabase>,
     stop: &AtomicBool,
-    acked: &Mutex<HashMap<u32, u64>>,
+    seqs: &Mutex<HashMap<u32, TenantSeqs>>,
 ) {
     drop(stream.set_nodelay(true));
     drop(stream.set_read_timeout(Some(READ_SLICE)));
     let mut tenant: Option<TenantId> = None;
     loop {
-        let payload = match read_frame(&mut stream) {
+        let payload = match read_frame(&mut stream, Some(stop)) {
             Ok(Some(p)) => p,
             Ok(None) => return,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Err(e) if is_timeout(&e) => {
+                // Idle between frames.
                 if stop.load(Ordering::Acquire) {
                     return;
                 }
@@ -222,7 +291,7 @@ fn serve_connection(
             }
             Err(_) => return,
         };
-        let reply = handle_message(&payload, service, &mut tenant, acked);
+        let reply = handle_message(&payload, service, &mut tenant, seqs);
         if write_frame(&mut stream, &reply).is_err() {
             return;
         }
@@ -243,7 +312,7 @@ fn handle_message(
     payload: &[u8],
     service: &FleetService<profileme_core::ProfileDatabase>,
     tenant: &mut Option<TenantId>,
-    acked: &Mutex<HashMap<u32, u64>>,
+    seqs: &Mutex<HashMap<u32, TenantSeqs>>,
 ) -> Vec<u8> {
     let err = |msg: &str| {
         let mut out = vec![MSG_ERR];
@@ -259,11 +328,7 @@ fn handle_message(
                 return err("malformed Hello");
             };
             *tenant = Some(TenantId(id));
-            let last = *acked
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(id)
-                .or_insert(0);
+            let last = lock(seqs).get(&id).map_or(0, |t| t.acked);
             let mut out = vec![MSG_HELLO_ACK];
             out.extend_from_slice(&last.to_le_bytes());
             out
@@ -278,27 +343,37 @@ fn handle_message(
             else {
                 return err("malformed Batch");
             };
-            let last = *acked
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(&id.0)
-                .unwrap_or(&0);
-            if seq <= last {
-                // Same-run retry of an already-ingested batch: ack it
-                // again without re-ingesting.
-                return batch_ack(seq, DegradeLevel::Full, 0, true);
-            }
-            let samples: Vec<Sample> = match serde_json::from_slice(&payload[9..]) {
+            let samples = match Sample::decode_batch(&payload[9..]) {
                 Ok(samples) => samples,
                 Err(e) => return err(&format!("undecodable samples: {e}")),
             };
+            {
+                let mut seqs = lock(seqs);
+                let t = seqs.entry(id.0).or_default();
+                if seq <= t.acked {
+                    // Same-run retry of an already-ingested batch: ack
+                    // it again without re-ingesting.
+                    return batch_ack(seq, DegradeLevel::Full, 0, true);
+                }
+                if t.inflight.contains(&seq) {
+                    return err(&format!(
+                        "batch {seq} is still being ingested by another connection; retry"
+                    ));
+                }
+                t.inflight.push(seq);
+            }
             let offered = samples.len() as u64;
-            match service.ingest_batch(id, samples) {
+            let ingested = service.ingest_batch(id, samples);
+            {
+                let mut seqs = lock(seqs);
+                let t = seqs.entry(id.0).or_default();
+                t.inflight.retain(|&s| s != seq);
+                if ingested.is_ok() {
+                    t.acked = t.acked.max(seq);
+                }
+            }
+            match ingested {
                 Ok(level) => {
-                    acked
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(id.0, seq);
                     let admitted = match level {
                         DegradeLevel::Full => offered,
                         // The tenant's 1-in-k thinning keeps stream
@@ -314,6 +389,12 @@ fn handle_message(
         Some(&MSG_BYE) => vec![MSG_BYE],
         _ => err("unknown message type"),
     }
+}
+
+/// The sequence map stays valid at every step of every update, so a
+/// handler that panicked while holding it left nothing half-written.
+fn lock(seqs: &Mutex<HashMap<u32, TenantSeqs>>) -> MutexGuard<'_, HashMap<u32, TenantSeqs>> {
+    seqs.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn batch_ack(seq: u64, level: DegradeLevel, admitted: u64, duplicate: bool) -> Vec<u8> {
@@ -384,6 +465,9 @@ pub struct FleetClient {
     /// the same server run already ingested.
     hello_acked: u64,
     next_seq: u64,
+    /// Whether any connection was established yet: every later one is
+    /// a reconnect.
+    connected_once: bool,
     /// Cumulative accounting, exposed via [`stats`](FleetClient::stats).
     batches_acked: u64,
     samples_acked: u64,
@@ -400,11 +484,9 @@ pub struct ClientStats {
     pub samples_acked: u64,
     /// Send attempts that failed and were retried with backoff.
     pub retries: u64,
-    /// Reconnections established (beyond the first connect).
+    /// Connections established after the first.
     pub reconnects: u64,
 }
-
-use serde::Serialize;
 
 impl FleetClient {
     /// A client for `tenant`, lazily connecting to `addr`.
@@ -416,6 +498,7 @@ impl FleetClient {
             stream: None,
             hello_acked: 0,
             next_seq: 0,
+            connected_once: false,
             batches_acked: 0,
             samples_acked: 0,
             retries: 0,
@@ -455,39 +538,46 @@ impl FleetClient {
         let mut hello = vec![MSG_HELLO];
         hello.extend_from_slice(&self.tenant.0.to_le_bytes());
         write_frame(&mut stream, &hello).map_err(|e| net_err("send Hello", &e))?;
-        let reply = read_frame(&mut stream)
+        let reply = read_frame(&mut stream, None)
             .map_err(|e| net_err("read HelloAck", &e))?
             .ok_or_else(|| ProfileError::net("connection closed during Hello"))?;
         if reply.first() != Some(&MSG_HELLO_ACK) || reply.len() != 9 {
             return Err(ProfileError::net("malformed HelloAck"));
         }
         self.hello_acked = u64::from_le_bytes(reply[1..9].try_into().expect("8 bytes"));
-        if self.batches_acked > 0 || self.next_seq > 0 {
+        if self.connected_once {
             self.reconnects += 1;
         }
+        self.connected_once = true;
         self.stream = Some(stream);
         Ok(())
     }
 
     /// Sends one batch and waits for its acknowledgement, retrying
     /// (with reconnects and full-jitter backoff) up to the policy's
-    /// budget. The batch owns the next sequence number whether or not
-    /// delivery eventually succeeds.
+    /// budget. The batch owns the next sequence number until it is
+    /// acknowledged.
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileError::Net`] once the retry budget is
-    /// exhausted — the batch is **not** acknowledged and the caller
-    /// may re-offer it later (the sequence number is reused so the
-    /// server's dedup stays correct).
+    /// Returns [`ProfileError::Net`] for a batch of more than
+    /// [`MAX_BATCH_SAMPLES`] samples, before anything is sent, or once
+    /// the retry budget is exhausted. Either way the batch is **not**
+    /// acknowledged, and the next `send` reuses its sequence number so
+    /// the server's dedup stays correct.
     pub fn send(&mut self, samples: &[Sample]) -> Result<BatchAck, ProfileError> {
+        if samples.len() > MAX_BATCH_SAMPLES {
+            return Err(ProfileError::net(format!(
+                "a batch of {} samples exceeds the {MAX_BATCH_SAMPLES}-sample bound",
+                samples.len()
+            )));
+        }
         let seq = self.next_seq + 1;
-        let body = serde_json::to_string(&samples.to_vec())
-            .map_err(|e| ProfileError::net(format!("samples failed to serialize: {e}")))?;
+        let body = Sample::encode_batch(samples);
         let mut payload = Vec::with_capacity(body.len() + 9);
         payload.push(MSG_BATCH);
         payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(body.as_bytes());
+        payload.extend_from_slice(&body);
 
         let mut last_err: Option<ProfileError> = None;
         for attempt in 0..=self.cfg.retry.max_retries {
@@ -532,7 +622,7 @@ impl FleetClient {
         }
         let stream = self.stream.as_mut().expect("just connected");
         write_frame(stream, payload).map_err(|e| net_err("send Batch", &e))?;
-        let reply = read_frame(stream)
+        let reply = read_frame(stream, None)
             .map_err(|e| net_err("read BatchAck", &e))?
             .ok_or_else(|| ProfileError::net("connection closed awaiting BatchAck"))?;
         match reply.first() {
@@ -574,5 +664,228 @@ impl FleetClient {
         if let Some(stream) = self.stream.as_mut() {
             drop(write_frame(stream, &[MSG_BYE]));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FleetConfig, ServeConfig, TenantQuota};
+    use profileme_core::{ProfileDatabase, ProfileMeConfig, Session};
+    use std::sync::OnceLock;
+    use std::thread::JoinHandle;
+
+    struct Stream {
+        program: profileme_isa::Program,
+        interval: u64,
+        samples: Vec<Sample>,
+    }
+
+    fn stream() -> &'static Stream {
+        static STREAM: OnceLock<Stream> = OnceLock::new();
+        STREAM.get_or_init(|| {
+            let w = profileme_workloads::compress(200);
+            let run = Session::builder(w.program.clone())
+                .memory(w.memory.clone())
+                .sampling(ProfileMeConfig {
+                    mean_interval: 16,
+                    ..Default::default()
+                })
+                .build()
+                .expect("config is valid")
+                .profile_single()
+                .expect("workload completes");
+            assert!(run.samples.len() >= 80, "stream too thin");
+            Stream {
+                program: w.program,
+                interval: run.db.interval(),
+                samples: run.samples,
+            }
+        })
+    }
+
+    fn fleet() -> FleetService<ProfileDatabase> {
+        let s = stream();
+        let quota = TenantQuota {
+            rate_per_sec: u64::MAX / 4,
+            burst: u64::MAX / 4,
+            queue_share: u64::MAX / 4,
+        };
+        FleetService::start(
+            ProfileDatabase::new(&s.program, s.interval),
+            ServeConfig::builder().shards(1).build().expect("config"),
+            FleetConfig::uniform(1, quota),
+        )
+        .expect("fleet starts")
+    }
+
+    fn batch_payload(seq: u64, body: &[u8]) -> Vec<u8> {
+        let mut payload = vec![MSG_BATCH];
+        payload.extend_from_slice(&seq.to_le_bytes());
+        payload.extend_from_slice(body);
+        payload
+    }
+
+    fn offered(svc: &FleetService<ProfileDatabase>) -> u64 {
+        svc.stats().tenants[0].offered
+    }
+
+    /// A server on an OS-assigned loopback port, its stop flag and its
+    /// accept loop.
+    fn serve(
+        svc: &Arc<FleetService<ProfileDatabase>>,
+    ) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) {
+        let server = FleetServer::bind("127.0.0.1:0", Arc::clone(svc)).expect("bind");
+        let addr = server.local_addr();
+        let stop = server.stop_handle();
+        (
+            addr,
+            stop,
+            std::thread::spawn(move || server.run().expect("accept loop")),
+        )
+    }
+
+    fn stop(svc: Arc<FleetService<ProfileDatabase>>, stop: &AtomicBool, server: JoinHandle<()>) {
+        stop.store(true, Ordering::Release);
+        server.join().expect("accept loop exits");
+        let svc = Arc::into_inner(svc).expect("the server released the service");
+        drop(svc.shutdown().expect("fleet drains"));
+    }
+
+    /// A frame that arrives in two parts, 120 ms apart (longer than one
+    /// read slice), is read whole and acknowledged.
+    #[test]
+    fn a_pause_mid_frame_keeps_the_connection() {
+        let svc = Arc::new(fleet());
+        let (addr, flag, server) = serve(&svc);
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        write_frame(&mut raw, &[MSG_HELLO, 0, 0, 0, 0]).expect("Hello");
+        let hello = read_frame(&mut raw, None).expect("HelloAck").expect("open");
+        assert_eq!(hello.first(), Some(&MSG_HELLO_ACK));
+
+        let batch = &stream().samples[..40];
+        let payload = batch_payload(1, &Sample::encode_batch(batch));
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        raw.write_all(&frame[..20]).expect("first part");
+        std::thread::sleep(READ_SLICE + Duration::from_millis(70));
+        raw.write_all(&frame[20..]).expect("second part");
+        let reply = read_frame(&mut raw, None)
+            .expect("the server still answers")
+            .expect("the connection stays open");
+        assert_eq!(reply.first(), Some(&MSG_BATCH_ACK), "{reply:?}");
+        assert_eq!(offered(&svc), 40);
+        drop(raw);
+        stop(svc, &flag, server);
+    }
+
+    /// Bodies that are not a PMB1 batch, a 0.9.0 producer's JSON among
+    /// them, get an Err frame and offer the tenant nothing.
+    #[test]
+    fn hostile_batch_bodies_are_refused_and_ingest_nothing() {
+        let svc = fleet();
+        let seqs = Mutex::new(HashMap::new());
+        let mut tenant = None;
+        let hello = handle_message(&[MSG_HELLO, 0, 0, 0, 0], &svc, &mut tenant, &seqs);
+        assert_eq!(hello.first(), Some(&MSG_HELLO_ACK));
+
+        let real = Sample::encode_batch(&stream().samples[..40]);
+        let mut bodies: Vec<Vec<u8>> = vec![
+            serde_json::to_string(&stream().samples[..40].to_vec())
+                .expect("JSON")
+                .into_bytes(),
+            Vec::new(),
+            b"PMB1".to_vec(),
+            real[..real.len() - 1].to_vec(),
+            [real.as_slice(), &[0]].concat(),
+        ];
+        let mut state = 0x5EED_u64;
+        for case in 0..512 {
+            let len = (case * 7) % 300;
+            let mut body = if case % 2 == 0 {
+                b"PMB1".to_vec()
+            } else {
+                Vec::new()
+            };
+            body.extend((0..len).map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            }));
+            bodies.push(body);
+        }
+        for (i, body) in bodies.iter().enumerate() {
+            if Sample::decode_batch(body).is_ok() {
+                continue;
+            }
+            let reply = handle_message(&batch_payload(1, body), &svc, &mut tenant, &seqs);
+            assert_eq!(reply.first(), Some(&MSG_ERR), "body {i} was not refused");
+        }
+        assert_eq!(offered(&svc), 0, "a refused body reached admission");
+        let reply = handle_message(&batch_payload(1, &real), &svc, &mut tenant, &seqs);
+        assert_eq!(
+            reply.first(),
+            Some(&MSG_BATCH_ACK),
+            "refusals consumed the seq"
+        );
+        assert_eq!(offered(&svc), 40);
+        drop(svc.shutdown());
+    }
+
+    /// A sequence another handler is still ingesting is refused for a
+    /// retry, never ingested twice; an acknowledged one is a duplicate.
+    #[test]
+    fn a_sequence_in_flight_is_refused_until_it_settles() {
+        let svc = fleet();
+        let seqs = Mutex::new(HashMap::new());
+        let mut tenant = None;
+        handle_message(&[MSG_HELLO, 0, 0, 0, 0], &svc, &mut tenant, &seqs);
+        let body = Sample::encode_batch(&stream().samples[..40]);
+        lock(&seqs).entry(0).or_default().inflight.push(1);
+        let reply = handle_message(&batch_payload(1, &body), &svc, &mut tenant, &seqs);
+        assert_eq!(reply.first(), Some(&MSG_ERR));
+        assert_eq!(offered(&svc), 0);
+
+        // Seq 2 settles first; the claim on 1 still refuses it, and
+        // the high-water never moves back.
+        let reply = handle_message(&batch_payload(2, &body), &svc, &mut tenant, &seqs);
+        assert_eq!(reply.first(), Some(&MSG_BATCH_ACK));
+        assert_eq!(lock(&seqs)[&0].acked, 2);
+        assert!(lock(&seqs)[&0].inflight == [1]);
+        lock(&seqs).get_mut(&0).expect("tenant").inflight.clear();
+        let reply = handle_message(&batch_payload(1, &body), &svc, &mut tenant, &seqs);
+        assert_eq!(reply.first(), Some(&MSG_BATCH_ACK));
+        assert_eq!(reply[18], 1, "seq 1 is at or below the high-water");
+        assert_eq!(offered(&svc), 40);
+        drop(svc.shutdown());
+    }
+
+    /// An oversized batch is refused before it is sent, and the next
+    /// batch still gets sequence 1.
+    #[test]
+    fn send_refuses_an_oversized_batch_without_consuming_a_seq() {
+        let svc = Arc::new(fleet());
+        let (addr, flag, server) = serve(&svc);
+        let mut client = FleetClient::new(addr.to_string(), TenantId(0), ClientConfig::default());
+        let sample = stream().samples[0].clone();
+        let huge = vec![sample; MAX_BATCH_SAMPLES + 1];
+        let err = client.send(&huge).expect_err("over the cap");
+        assert!(err.to_string().contains("bound"), "{err}");
+        drop(huge);
+        let ack = client.send(&stream().samples[..10]).expect("a small batch");
+        assert_eq!(ack.seq, 1);
+        assert!(!ack.duplicate);
+        let stats = client.stats();
+        assert_eq!(
+            (stats.batches_acked, stats.retries, stats.reconnects),
+            (1, 0, 0)
+        );
+        assert_eq!(offered(&svc), 10);
+        client.close();
+        stop(svc, &flag, server);
     }
 }

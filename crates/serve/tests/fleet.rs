@@ -16,7 +16,8 @@
 //!   restart via retry/backoff, and no acknowledged sample is lost
 //!   across the restart (the durable store carries acked history);
 //!   acks of thinned and shed batches report exactly what the tenant's
-//!   ladder admitted.
+//!   ladder admitted; a batch resent while its first ingest is still
+//!   blocked is counted once.
 
 use profileme_core::{ProfileDatabase, ProfileMeConfig, Sample, Session, WireFormat};
 use profileme_serve::{
@@ -621,4 +622,96 @@ fn tcp_acks_report_thinned_and_shed_batches_exactly() {
     );
     assert_eq!(t.offered, t.accepted + t.thinned + t.shed, "{t:?}");
     drop(std::fs::remove_dir_all(&dir));
+}
+
+/// A client whose ack read times out during a slow ingest reconnects
+/// and resends the same sequence while the first handler is still
+/// blocked on ring backpressure. The batch must be counted once: the
+/// resend is refused while the first ingest is in flight, and
+/// acknowledged as a duplicate once it settles.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn tcp_resend_during_a_slow_ingest_counts_the_batch_once() {
+    use profileme_serve::FaultPlan;
+    // One shard whose worker takes 150 ms per message behind a
+    // two-message ring: any push waits far longer than the client.
+    let plan = FaultPlan::parse("delay:queue:ms=150").expect("plan parses");
+    let svc = Arc::new(
+        FleetService::start_with_faults(
+            proto(),
+            ServeConfig::builder()
+                .shards(1)
+                .queue_depth(2)
+                .build()
+                .unwrap(),
+            FleetConfig::uniform(2, unmetered()),
+            plan,
+        )
+        .expect("fleet starts"),
+    );
+    let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let stop = server.stop_handle();
+    let handle = std::thread::spawn(move || server.run().expect("accept loop runs"));
+    let tenant = |svc: &FleetService<ProfileDatabase>, id: u32| {
+        let stats = svc.stats();
+        *stats
+            .tenants
+            .iter()
+            .find(|t| t.tenant == id)
+            .expect("tenant")
+    };
+
+    // Tenant 1 keeps the ring full for about a second.
+    let s = stream();
+    let filler = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || {
+            for batch in stream().samples.chunks(40).take(8) {
+                svc.ingest_batch(TenantId(1), batch.to_vec())
+                    .expect("tenant 1 is registered");
+            }
+        })
+    };
+    // Wait until a fourth filler batch is blocked on the full ring.
+    while tenant(&svc, 1).offered < 4 * 40 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let cfg = ClientConfig {
+        io_timeout: Duration::from_millis(50),
+        retry: RetryPolicy {
+            max_retries: 400,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(40),
+            seed: 0,
+        },
+        ..ClientConfig::default()
+    };
+    let mut client = FleetClient::new(addr, TenantId(0), cfg);
+    let batch = &s.samples[..40];
+    client.send(batch).expect("the batch is acknowledged");
+    let stats = client.stats();
+    assert_eq!(
+        tenant(&svc, 0).accepted,
+        40,
+        "the resent batch was ingested again: {stats:?}"
+    );
+    assert!(
+        stats.reconnects >= 1,
+        "the timed-out read forced a reconnect: {stats:?}"
+    );
+    client.close();
+    filler.join().expect("filler thread");
+    let final_stats = stop_server(svc, &stop, handle);
+    let t0 = final_stats
+        .tenants
+        .iter()
+        .find(|t| t.tenant == 0)
+        .expect("tenant 0");
+    assert_eq!(
+        (t0.offered, t0.accepted),
+        (40, 40),
+        "a handler still blocked at the ack ingested the batch again"
+    );
 }

@@ -73,6 +73,12 @@ impl EventSet {
         self.0
     }
 
+    /// The event set whose raw representation is `bits`, the inverse
+    /// of [`bits`](EventSet::bits). Every `u32` is a valid set.
+    pub const fn from_bits(bits: u32) -> EventSet {
+        EventSet(bits)
+    }
+
     /// Whether no events are recorded.
     pub const fn is_empty(self) -> bool {
         self.0 == 0
