@@ -17,6 +17,7 @@ use crate::{PairedSample, Sample};
 use profileme_isa::{Pc, Program};
 use profileme_uarch::{EventSet, LatencySums};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Per-field columns of a [`PcProfile`] row on the sparse wire.
 const PC_COLUMNS: usize = 20;
@@ -129,28 +130,25 @@ impl DirtySet {
     }
 }
 
-/// Shared shape of `top_n`: move the `n` hottest rows to the front
-/// with a selection pass (O(len)), then sort only those winners
-/// (O(n log n)) — never the whole table.
-fn select_top_n<P: Copy>(
-    mut rows: Vec<(Pc, P)>,
-    n: usize,
-    value: impl Fn(&P) -> u64,
-) -> Vec<(Pc, P)> {
-    let cmp = |a: &(Pc, P), b: &(Pc, P)| {
-        value(&b.1)
-            .cmp(&value(&a.1))
-            .then(a.0.addr().cmp(&b.0.addr()))
-    };
+/// Shared shape of `top_n`: the rows of the `n` largest nonzero
+/// `values`, largest first and lower rows first among ties. It selects
+/// on 16-byte `(value, row)` keys, never on copied rows: a selection
+/// pass moves the winners to the front (O(len)), and only those are
+/// sorted (O(n log n)).
+fn top_rows(values: impl Iterator<Item = (usize, u64)>, n: usize) -> Vec<usize> {
     if n == 0 {
         return Vec::new();
     }
-    if n < rows.len() {
-        rows.select_nth_unstable_by(n - 1, &cmp);
-        rows.truncate(n);
+    let mut keys: Vec<(Reverse<u64>, u32)> = values
+        .filter(|&(_, v)| v > 0)
+        .map(|(i, v)| (Reverse(v), i as u32))
+        .collect();
+    if n < keys.len() {
+        keys.select_nth_unstable(n - 1);
+        keys.truncate(n);
     }
-    rows.sort_unstable_by(&cmp);
-    rows
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, i)| i as usize).collect()
 }
 
 /// One u64 counter of a [`PcProfile`], named — the "any event" axis of
@@ -680,15 +678,19 @@ impl ProfileDatabase {
     /// ascending among ties — a deterministic order, so reports and
     /// snapshots diff cleanly.
     ///
-    /// Selection runs in O(len + n log n): a `select_nth` pass moves
-    /// the winners to the front, and only those are fully sorted.
+    /// Selection runs in O(len + n log n) on `(value, row)` keys, and
+    /// only the `n` winning rows are copied out.
     pub fn top_n(&self, n: usize, field: ProfileField) -> Vec<(Pc, PcProfile)> {
-        let rows: Vec<(Pc, PcProfile)> = self
+        let values = self
+            .per_pc
             .iter()
-            .filter(|(_, p)| p.field(field) > 0)
-            .map(|(pc, p)| (pc, *p))
-            .collect();
-        select_top_n(rows, n, |p| p.field(field))
+            .enumerate()
+            .filter(|(_, p)| p.samples > 0)
+            .map(|(i, p)| (i, p.field(field)));
+        top_rows(values, n)
+            .into_iter()
+            .map(|i| (self.base.advance(i as u64), self.per_pc[i]))
+            .collect()
     }
 
     /// The sparse wire header: base PC, rows, interval, then the
@@ -715,35 +717,6 @@ impl ProfileDatabase {
         }
     }
 
-    /// Rebuilds a database from a decoded sparse table.
-    fn from_decoded(d: wire::Decoded<PC_COLUMNS>) -> Result<ProfileDatabase, ProfileError> {
-        let [base, len, interval, invalid_samples, total_samples] = d.header[..] else {
-            unreachable!("decode returns exactly SNAP_HEADER words");
-        };
-        if base % 4 != 0 {
-            return Err(wire::malformed("base PC is not 4-byte aligned"));
-        }
-        let per_pc = wire::alloc_rows(len)?;
-        let len = per_pc.len();
-        let mut db = ProfileDatabase {
-            base: Pc::new(base),
-            per_pc,
-            interval,
-            invalid_samples,
-            total_samples,
-            dirty: DirtySet::default(),
-        };
-        for (i, cols) in &d.rows {
-            let i = *i as usize;
-            if i >= len {
-                return Err(wire::malformed("row index beyond table length"));
-            }
-            db.per_pc[i] = PcProfile::from_columns(cols);
-            db.dirty.mark(i);
-        }
-        Ok(db)
-    }
-
     /// Serializes the database to its canonical snapshot bytes — the
     /// sparse columnar wire format (varint-coded touched-PC runs plus
     /// per-field columns; see [`wire`](crate::sw::wire)).
@@ -760,14 +733,13 @@ impl ProfileDatabase {
     pub fn encode(&self, format: WireFormat) -> Result<Vec<u8>, ProfileError> {
         match format {
             WireFormat::Sparse => {
-                let rows: Vec<(u32, [u64; PC_COLUMNS])> = self
-                    .per_pc
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| !p.is_zero())
-                    .map(|(i, p)| (i as u32, p.to_columns()))
-                    .collect();
-                Ok(wire::encode(SNAP_MAGIC, &self.header(), &rows))
+                let mut enc = wire::Encoder::<PC_COLUMNS>::new(self.per_pc.len());
+                for (i, p) in self.per_pc.iter().enumerate() {
+                    if !p.is_zero() {
+                        enc.push(i as u32, &p.to_columns());
+                    }
+                }
+                Ok(enc.finish(SNAP_MAGIC, &self.header()))
             }
             WireFormat::Dense => serde_json::to_string(self)
                 .map(String::into_bytes)
@@ -792,7 +764,27 @@ impl ProfileDatabase {
                 reason: e.to_string(),
             });
         }
-        ProfileDatabase::from_decoded(wire::decode(bytes, SNAP_MAGIC, SNAP_HEADER)?)
+        let table = wire::Table::<SNAP_HEADER, PC_COLUMNS>::parse(bytes, SNAP_MAGIC)?;
+        let [base, len, interval, invalid_samples, total_samples] = table.header;
+        if base % 4 != 0 {
+            return Err(wire::malformed("base PC is not 4-byte aligned"));
+        }
+        if table.end() > len {
+            return Err(wire::malformed("row index beyond table length"));
+        }
+        let mut db = ProfileDatabase {
+            base: Pc::new(base),
+            per_pc: wire::alloc_rows(len)?,
+            interval,
+            invalid_samples,
+            total_samples,
+            dirty: DirtySet::default(),
+        };
+        table.for_each_row(|i, fields| {
+            db.per_pc[i] = PcProfile::from_columns(&fields);
+            db.dirty.mark(i);
+        });
+        Ok(db)
     }
 
     /// Extracts everything aggregated since `base` as sparse delta
@@ -815,14 +807,14 @@ impl ProfileDatabase {
             what: "delta base (counters would go negative)",
         };
         let touched = self.dirty.take_sorted();
-        let mut rows: Vec<(u32, [u64; PC_COLUMNS])> = Vec::with_capacity(touched.len());
+        let mut enc = wire::Encoder::<PC_COLUMNS>::new(touched.len());
         for i in touched {
             let idx = i as usize;
             let diff = self.per_pc[idx]
                 .checked_sub(&base.per_pc[idx])
                 .ok_or(not_earlier.clone())?;
             if !diff.is_zero() {
-                rows.push((i, diff.to_columns()));
+                enc.push(i, &diff.to_columns());
                 base.per_pc[idx] = self.per_pc[idx];
                 base.dirty.mark(idx);
             }
@@ -840,7 +832,7 @@ impl ProfileDatabase {
         ];
         base.invalid_samples = self.invalid_samples;
         base.total_samples = self.total_samples;
-        Ok(wire::encode(DELTA_MAGIC, &header, &rows))
+        Ok(enc.finish(DELTA_MAGIC, &header))
     }
 
     /// Brings `checkpoint` (a past state of `self`) up to date by
@@ -877,7 +869,8 @@ impl ProfileDatabase {
     /// Applies delta bytes produced by
     /// [`extract_delta`](ProfileDatabase::extract_delta): field-wise
     /// addition of every carried row plus the stream counters, in
-    /// O(touched).
+    /// O(touched). The bytes are checked whole before any row is
+    /// added, so a refused delta leaves the database as it was.
     ///
     /// # Errors
     ///
@@ -885,10 +878,8 @@ impl ProfileDatabase {
     /// or [`ProfileError::Mismatch`] if the delta describes a
     /// different program image or interval.
     pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
-        let d: wire::Decoded<PC_COLUMNS> = wire::decode(bytes, DELTA_MAGIC, SNAP_HEADER)?;
-        let [base, len, interval, invalid_samples, total_samples] = d.header[..] else {
-            unreachable!("decode returns exactly SNAP_HEADER words");
-        };
+        let table = wire::Table::<SNAP_HEADER, PC_COLUMNS>::parse(bytes, DELTA_MAGIC)?;
+        let [base, len, interval, invalid_samples, total_samples] = table.header;
         if base != self.base.addr() || len != self.per_pc.len() as u64 {
             return Err(ProfileError::Mismatch {
                 what: "program image",
@@ -899,14 +890,13 @@ impl ProfileDatabase {
                 what: "sampling interval",
             });
         }
-        for (i, cols) in &d.rows {
-            let idx = *i as usize;
-            if idx >= self.per_pc.len() {
-                return Err(wire::malformed("row index beyond table length"));
-            }
-            self.per_pc[idx].merge(&PcProfile::from_columns(cols));
-            self.dirty.mark(idx);
+        if table.end() > len {
+            return Err(wire::malformed("row index beyond table length"));
         }
+        table.for_each_row(|i, fields| {
+            self.per_pc[i].merge(&PcProfile::from_columns(&fields));
+            self.dirty.mark(i);
+        });
         self.invalid_samples += invalid_samples;
         self.total_samples += total_samples;
         Ok(())
@@ -1254,12 +1244,16 @@ impl PairProfileDatabase {
     /// [`ProfileDatabase::top_n`], with the same O(len + n log n)
     /// selection.
     pub fn top_n(&self, n: usize, field: PairProfileField) -> Vec<(Pc, PcPairProfile)> {
-        let rows: Vec<(Pc, PcPairProfile)> = self
+        let values = self
+            .per_pc
             .iter()
-            .filter(|(_, p)| p.field(field) > 0)
-            .map(|(pc, p)| (pc, *p))
-            .collect();
-        select_top_n(rows, n, |p| p.field(field))
+            .enumerate()
+            .filter(|(_, p)| p.samples > 0)
+            .map(|(i, p)| (i, p.field(field)));
+        top_rows(values, n)
+            .into_iter()
+            .map(|i| (self.base.advance(i as u64), self.per_pc[i]))
+            .collect()
     }
 
     /// The sparse wire header.
@@ -1284,36 +1278,6 @@ impl PairProfileDatabase {
         }
     }
 
-    /// Rebuilds a database from a decoded sparse table.
-    fn from_decoded(d: wire::Decoded<PAIR_COLUMNS>) -> Result<PairProfileDatabase, ProfileError> {
-        let [base, len, interval, window, total_pairs, incomplete_pairs] = d.header[..] else {
-            unreachable!("decode returns exactly PAIR_HEADER words");
-        };
-        if base % 4 != 0 {
-            return Err(wire::malformed("base PC is not 4-byte aligned"));
-        }
-        let per_pc = wire::alloc_rows(len)?;
-        let len = per_pc.len();
-        let mut db = PairProfileDatabase {
-            base: Pc::new(base),
-            per_pc,
-            interval,
-            window,
-            total_pairs,
-            incomplete_pairs,
-            dirty: DirtySet::default(),
-        };
-        for (i, cols) in &d.rows {
-            let i = *i as usize;
-            if i >= len {
-                return Err(wire::malformed("row index beyond table length"));
-            }
-            db.per_pc[i] = PcPairProfile::from_columns(cols);
-            db.dirty.mark(i);
-        }
-        Ok(db)
-    }
-
     /// Serializes the database per `format`, as
     /// [`ProfileDatabase::encode`] (the sparse format carries the
     /// `PMP1` magic).
@@ -1324,14 +1288,13 @@ impl PairProfileDatabase {
     pub fn encode(&self, format: WireFormat) -> Result<Vec<u8>, ProfileError> {
         match format {
             WireFormat::Sparse => {
-                let rows: Vec<(u32, [u64; PAIR_COLUMNS])> = self
-                    .per_pc
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| !p.is_zero())
-                    .map(|(i, p)| (i as u32, p.to_columns()))
-                    .collect();
-                Ok(wire::encode(PAIR_SNAP_MAGIC, &self.header(), &rows))
+                let mut enc = wire::Encoder::<PAIR_COLUMNS>::new(self.per_pc.len());
+                for (i, p) in self.per_pc.iter().enumerate() {
+                    if !p.is_zero() {
+                        enc.push(i as u32, &p.to_columns());
+                    }
+                }
+                Ok(enc.finish(PAIR_SNAP_MAGIC, &self.header()))
             }
             WireFormat::Dense => serde_json::to_string(self)
                 .map(String::into_bytes)
@@ -1355,7 +1318,28 @@ impl PairProfileDatabase {
                 reason: e.to_string(),
             });
         }
-        PairProfileDatabase::from_decoded(wire::decode(bytes, PAIR_SNAP_MAGIC, PAIR_HEADER)?)
+        let table = wire::Table::<PAIR_HEADER, PAIR_COLUMNS>::parse(bytes, PAIR_SNAP_MAGIC)?;
+        let [base, len, interval, window, total_pairs, incomplete_pairs] = table.header;
+        if base % 4 != 0 {
+            return Err(wire::malformed("base PC is not 4-byte aligned"));
+        }
+        if table.end() > len {
+            return Err(wire::malformed("row index beyond table length"));
+        }
+        let mut db = PairProfileDatabase {
+            base: Pc::new(base),
+            per_pc: wire::alloc_rows(len)?,
+            interval,
+            window,
+            total_pairs,
+            incomplete_pairs,
+            dirty: DirtySet::default(),
+        };
+        table.for_each_row(|i, fields| {
+            db.per_pc[i] = PcPairProfile::from_columns(&fields);
+            db.dirty.mark(i);
+        });
+        Ok(db)
     }
 
     /// Extracts everything aggregated since `base` as sparse delta
@@ -1374,14 +1358,14 @@ impl PairProfileDatabase {
             what: "delta base (counters would go negative)",
         };
         let touched = self.dirty.take_sorted();
-        let mut rows: Vec<(u32, [u64; PAIR_COLUMNS])> = Vec::with_capacity(touched.len());
+        let mut enc = wire::Encoder::<PAIR_COLUMNS>::new(touched.len());
         for i in touched {
             let idx = i as usize;
             let diff = self.per_pc[idx]
                 .checked_sub(&base.per_pc[idx])
                 .ok_or(not_earlier.clone())?;
             if !diff.is_zero() {
-                rows.push((i, diff.to_columns()));
+                enc.push(i, &diff.to_columns());
                 base.per_pc[idx] = self.per_pc[idx];
                 base.dirty.mark(idx);
             }
@@ -1400,7 +1384,7 @@ impl PairProfileDatabase {
         ];
         base.total_pairs = self.total_pairs;
         base.incomplete_pairs = self.incomplete_pairs;
-        Ok(wire::encode(PAIR_DELTA_MAGIC, &header, &rows))
+        Ok(enc.finish(PAIR_DELTA_MAGIC, &header))
     }
 
     /// Brings `checkpoint` up to date in O(touched), as
@@ -1427,17 +1411,15 @@ impl PairProfileDatabase {
 
     /// Applies delta bytes produced by
     /// [`extract_delta`](PairProfileDatabase::extract_delta), as
-    /// [`ProfileDatabase::apply_delta`].
+    /// [`ProfileDatabase::apply_delta`]: all or nothing.
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::Snapshot`] if the bytes do not parse,
     /// or [`ProfileError::Mismatch`] on image/interval/window mismatch.
     pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
-        let d: wire::Decoded<PAIR_COLUMNS> = wire::decode(bytes, PAIR_DELTA_MAGIC, PAIR_HEADER)?;
-        let [base, len, interval, window, total_pairs, incomplete_pairs] = d.header[..] else {
-            unreachable!("decode returns exactly PAIR_HEADER words");
-        };
+        let table = wire::Table::<PAIR_HEADER, PAIR_COLUMNS>::parse(bytes, PAIR_DELTA_MAGIC)?;
+        let [base, len, interval, window, total_pairs, incomplete_pairs] = table.header;
         if base != self.base.addr() || len != self.per_pc.len() as u64 {
             return Err(ProfileError::Mismatch {
                 what: "program image",
@@ -1448,14 +1430,13 @@ impl PairProfileDatabase {
                 what: "sampling interval/window",
             });
         }
-        for (i, cols) in &d.rows {
-            let idx = *i as usize;
-            if idx >= self.per_pc.len() {
-                return Err(wire::malformed("row index beyond table length"));
-            }
-            self.per_pc[idx].merge(&PcPairProfile::from_columns(cols));
-            self.dirty.mark(idx);
+        if table.end() > len {
+            return Err(wire::malformed("row index beyond table length"));
         }
+        table.for_each_row(|i, fields| {
+            self.per_pc[i].merge(&PcPairProfile::from_columns(&fields));
+            self.dirty.mark(i);
+        });
         self.total_pairs += total_pairs;
         self.incomplete_pairs += incomplete_pairs;
         Ok(())
@@ -1599,16 +1580,231 @@ mod tests {
         // Sized unchecked, a 2^40-row table asks the allocator for
         // ~176 TB, and a refused allocation aborts the process.
         for len in [1u64 << 32, 1 << 40] {
-            let single = wire::encode::<PC_COLUMNS>(SNAP_MAGIC, &[0, len, 100, 0, 0], &[]);
+            let single =
+                wire::Encoder::<PC_COLUMNS>::new(0).finish(SNAP_MAGIC, &[0, len, 100, 0, 0]);
             assert!(matches!(
                 ProfileDatabase::decode(&single),
                 Err(ProfileError::Snapshot { .. })
             ));
-            let pair = wire::encode::<PAIR_COLUMNS>(PAIR_SNAP_MAGIC, &[0, len, 100, 8, 0, 0], &[]);
+            let pair = wire::Encoder::<PAIR_COLUMNS>::new(0)
+                .finish(PAIR_SNAP_MAGIC, &[0, len, 100, 8, 0, 0]);
             assert!(matches!(
                 PairProfileDatabase::decode(&pair),
                 Err(ProfileError::Snapshot { .. })
             ));
+        }
+    }
+
+    /// A real profile cut in two: the database after the first half
+    /// of a short `ijpeg` run, the delta carrying the second half, and
+    /// the full database's image.
+    fn real_delta_and_image() -> (ProfileDatabase, Vec<u8>, Vec<u8>) {
+        let w = profileme_workloads::ijpeg(60);
+        let run = crate::Session::builder(w.program.clone())
+            .memory(w.memory)
+            .sampling(crate::ProfileMeConfig {
+                mean_interval: 16,
+                ..Default::default()
+            })
+            .build()
+            .unwrap()
+            .profile_single()
+            .unwrap();
+        let (first, second) = run.samples.split_at(run.samples.len() / 2);
+        let mut acc = ProfileDatabase::new(&w.program, 16);
+        let mut base = acc.clone();
+        first.iter().for_each(|s| acc.add(s));
+        acc.extract_delta(&mut base).unwrap();
+        let before = base.clone();
+        second.iter().for_each(|s| acc.add(s));
+        let delta = acc.extract_delta(&mut base).unwrap();
+        assert!(delta.len() > 200, "delta too small to damage usefully");
+        (before, delta, acc.encode(WireFormat::Sparse).unwrap())
+    }
+
+    /// What the replaced decoder made of an image: the table, checked
+    /// row by row against its length.
+    fn reference_image(bytes: &[u8]) -> Option<ProfileDatabase> {
+        let d = wire::reference::decode::<PC_COLUMNS>(bytes, SNAP_MAGIC, SNAP_HEADER).ok()?;
+        let [base, len, interval, invalid_samples, total_samples] = d.header[..] else {
+            unreachable!("the reference returns SNAP_HEADER words");
+        };
+        (base % 4 == 0).then_some(())?;
+        let mut db = ProfileDatabase {
+            base: Pc::new(base),
+            per_pc: wire::alloc_rows(len).ok()?,
+            interval,
+            invalid_samples,
+            total_samples,
+            dirty: DirtySet::default(),
+        };
+        for (i, fields) in d.rows {
+            *db.per_pc.get_mut(i as usize)? = PcProfile::from_columns(&fields);
+        }
+        Some(db)
+    }
+
+    /// What the replaced decoder made of a delta applied to `db`.
+    fn reference_apply(db: &ProfileDatabase, bytes: &[u8]) -> Option<ProfileDatabase> {
+        let d = wire::reference::decode::<PC_COLUMNS>(bytes, DELTA_MAGIC, SNAP_HEADER).ok()?;
+        let [base, len, interval, invalid_samples, total_samples] = d.header[..] else {
+            unreachable!("the reference returns SNAP_HEADER words");
+        };
+        let header_matches =
+            base == db.base.addr() && len == db.per_pc.len() as u64 && interval == db.interval;
+        header_matches.then_some(())?;
+        let mut out = db.clone();
+        for (i, fields) in d.rows {
+            out.per_pc
+                .get_mut(i as usize)?
+                .merge(&PcProfile::from_columns(&fields));
+        }
+        out.invalid_samples += invalid_samples;
+        out.total_samples += total_samples;
+        Some(out)
+    }
+
+    #[test]
+    fn damaged_deltas_and_images_are_refused_whole_or_read_as_the_reference_reads_them() {
+        let (before, delta, image) = real_delta_and_image();
+        let before_bytes = before.encode(WireFormat::Sparse).unwrap();
+        let mut damaged: Vec<(Vec<u8>, bool)> = Vec::new();
+        for (bytes, is_delta) in [(&delta, true), (&image, false)] {
+            for at in 0..bytes.len() {
+                damaged.push((bytes[..at].to_vec(), is_delta));
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= 1 << bit;
+                    damaged.push((flipped, is_delta));
+                }
+            }
+        }
+        let mut accepted = 0;
+        for (bytes, is_delta) in damaged {
+            if is_delta {
+                let mut db = before.clone();
+                match db.apply_delta(&bytes) {
+                    Ok(()) => {
+                        accepted += 1;
+                        assert_eq!(Some(db), reference_apply(&before, &bytes));
+                    }
+                    Err(_) => {
+                        assert_eq!(reference_apply(&before, &bytes), None);
+                        assert_eq!(db.encode(WireFormat::Sparse).unwrap(), before_bytes);
+                    }
+                }
+            } else {
+                let decoded = ProfileDatabase::decode(&bytes).ok();
+                accepted += usize::from(decoded.is_some());
+                assert_eq!(decoded, reference_image(&bytes));
+            }
+        }
+        assert!(
+            accepted > 0,
+            "no damaged input decoded; the check is vacuous"
+        );
+    }
+
+    #[test]
+    fn a_delta_whose_last_run_passes_the_table_end_changes_nothing() {
+        let p = program();
+        let mut db = ProfileDatabase::new(&p, 100);
+        let pc = p.entry();
+        db.add(&Sample {
+            record: Some(record(pc, true, EventSet::new())),
+            selected_cycle: 0,
+        });
+        let before = db.encode(WireFormat::Sparse).unwrap();
+        // Rows 0 and 1 are in the table; row `len` is one past its end.
+        let len = p.len() as u32;
+        let mut enc = wire::Encoder::<PC_COLUMNS>::new(3);
+        for row in [0, 1, len] {
+            enc.push(row, &[1; PC_COLUMNS]);
+        }
+        let delta = enc.finish(DELTA_MAGIC, &[pc.addr(), u64::from(len), 100, 0, 3]);
+        assert!(db.apply_delta(&delta).is_err());
+        assert_eq!(db.encode(WireFormat::Sparse).unwrap(), before);
+        assert_eq!(db.total_samples, 1);
+
+        let mut pairs = PairProfileDatabase::new(&p, 100, 8);
+        let mut enc = wire::Encoder::<PAIR_COLUMNS>::new(3);
+        for row in [0, 1, len] {
+            enc.push(row, &[1; PAIR_COLUMNS]);
+        }
+        let delta = enc.finish(PAIR_DELTA_MAGIC, &[pc.addr(), u64::from(len), 100, 8, 3, 0]);
+        assert!(pairs.apply_delta(&delta).is_err());
+        assert_eq!(pairs, PairProfileDatabase::new(&p, 100, 8));
+    }
+
+    /// A database over `rows` instructions whose every row is set by
+    /// hand: small values, so that zeros and ties are common.
+    fn arbitrary_dbs(rows: &[[u64; 3]]) -> (ProfileDatabase, PairProfileDatabase) {
+        let mut b = ProgramBuilder::new();
+        b.function("f");
+        b.nops(rows.len());
+        b.halt();
+        let p = b.build().unwrap();
+        let mut single = ProfileDatabase::new(&p, 10);
+        let mut pair = PairProfileDatabase::new(&p, 10, 8);
+        for (i, &[a, b, c]) in rows.iter().enumerate() {
+            single.per_pc[i] = PcProfile::from_columns(&std::array::from_fn(|f| {
+                [a, b, c][f % 3] * (f as u64 % 2)
+            }));
+            single.per_pc[i].samples = a;
+            pair.per_pc[i] = PcPairProfile::from_columns(&[a, b, c, b ^ c]);
+        }
+        (single, pair)
+    }
+
+    /// The independent reference: every row with samples and a nonzero
+    /// `value`, fully sorted by value descending, then PC ascending.
+    fn sorted_reference<P: Copy>(
+        rows: impl Iterator<Item = (Pc, P)>,
+        n: usize,
+        value: impl Fn(&P) -> u64,
+    ) -> Vec<(Pc, P)> {
+        let mut all: Vec<(Pc, P)> = rows.filter(|(_, p)| value(p) > 0).collect();
+        all.sort_by(|a, b| {
+            value(&b.1)
+                .cmp(&value(&a.1))
+                .then(a.0.addr().cmp(&b.0.addr()))
+        });
+        all.truncate(n);
+        all
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `top_n` agrees with a full sort of `iter()` for every field,
+        /// under heavy ties, at n = 0, 1, 10 and everything.
+        #[test]
+        fn top_n_matches_a_full_sort(
+            rows in proptest::collection::vec(
+                (0u64..4, 0u64..3, 0u64..3),
+                1usize..60,
+            ),
+        ) {
+            let rows: Vec<[u64; 3]> = rows.into_iter().map(|(a, b, c)| [a, b, c]).collect();
+            let (single, pair) = arbitrary_dbs(&rows);
+            for n in [0, 1, 10, usize::MAX] {
+                for field in ProfileField::ALL {
+                    let want = sorted_reference(
+                        single.iter().map(|(pc, p)| (pc, *p)),
+                        n,
+                        |p| p.field(field),
+                    );
+                    proptest::prop_assert_eq!(single.top_n(n, field), want);
+                }
+                for field in PairProfileField::ALL {
+                    let want = sorted_reference(
+                        pair.iter().map(|(pc, p)| (pc, *p)),
+                        n,
+                        |p| p.field(field),
+                    );
+                    proptest::prop_assert_eq!(pair.top_n(n, field), want);
+                }
+            }
         }
     }
 

@@ -487,7 +487,18 @@ struct ViewState<A: ShardAggregate> {
     replies: Vec<mpsc::Receiver<Reply>>,
     /// The epoch of the most recent snapshot request.
     epoch: u64,
+    /// The delta chunks folded into `merged` since the last completed
+    /// cycle, in fold order — abandoned deadline cycles' included,
+    /// since their chunks are in the view too. Kept only for a fleet's
+    /// epoch ring (see [`ShardedService::keep_epoch_chunks`]); `None`
+    /// drops each chunk once it is folded.
+    pending: Option<Vec<Vec<u8>>>,
 }
+
+/// Receives each completed cycle's seq, its view, and the chunks
+/// folded into that view since the previous completed cycle, while the
+/// cycle's lock is still held — so calls arrive in seq order.
+pub(crate) type OnEpoch<'a, A> = &'a mut dyn FnMut(u64, &A, Vec<Vec<u8>>);
 
 /// The sharded profile-aggregation service: samples in, snapshots out,
 /// collection never stops — and, supervised, it survives its own
@@ -595,6 +606,7 @@ impl<A: ShardAggregate> ShardedService<A> {
             store,
             replies,
             epoch: 0,
+            pending: None,
         };
         Ok(ShardedService {
             shards,
@@ -734,7 +746,7 @@ impl<A: ShardAggregate> ShardedService<A> {
     /// or [`ProfileError::Mismatch`] if shard aggregates disagree
     /// (which would indicate a bug in the `empty` prototype).
     pub fn snapshot(&self) -> Result<ServeSnapshot<A>, ProfileError> {
-        self.snapshot_cycle(None)
+        self.snapshot_cycle(None, None)
     }
 
     /// [`snapshot`](ShardedService::snapshot) that never blocks past
@@ -746,10 +758,34 @@ impl<A: ShardAggregate> ShardedService<A> {
     /// Returns [`ProfileError::DeadlineExceeded`] on budget expiry,
     /// otherwise as [`snapshot`](ShardedService::snapshot).
     pub fn snapshot_deadline(&self, timeout: Duration) -> Result<ServeSnapshot<A>, ProfileError> {
-        self.snapshot_cycle(Some(timeout))
+        self.snapshot_cycle(Some(timeout), None)
     }
 
-    fn snapshot_cycle(&self, timeout: Option<Duration>) -> Result<ServeSnapshot<A>, ProfileError> {
+    /// From now on, keep the chunks each cycle folds until a completed
+    /// cycle hands them to its [`OnEpoch`] callback. Cycles without a
+    /// callback drop them.
+    pub(crate) fn keep_epoch_chunks(&self) {
+        self.snap_cycle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pending
+            .get_or_insert_with(Vec::new);
+    }
+
+    /// [`snapshot`](ShardedService::snapshot) that hands the completed
+    /// cycle to `on_epoch` before releasing the cycle's lock.
+    pub(crate) fn snapshot_epoch(
+        &self,
+        on_epoch: OnEpoch<'_, A>,
+    ) -> Result<ServeSnapshot<A>, ProfileError> {
+        self.snapshot_cycle(None, Some(on_epoch))
+    }
+
+    fn snapshot_cycle(
+        &self,
+        timeout: Option<Duration>,
+        on_epoch: Option<OnEpoch<'_, A>>,
+    ) -> Result<ServeSnapshot<A>, ProfileError> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let remaining = |d: Instant| d.saturating_duration_since(Instant::now());
         let miss = |me: &Self| {
@@ -770,6 +806,7 @@ impl<A: ShardAggregate> ShardedService<A> {
             store,
             replies,
             epoch,
+            pending,
         } = &mut *cycle;
         // Every attempt takes a fresh epoch, so a reply to an abandoned
         // cycle is never mistaken for this one's.
@@ -802,7 +839,10 @@ impl<A: ShardAggregate> ShardedService<A> {
         // span of the shard's history, so it is folded too, in order.
         // A deadline miss partway is safe: the applied prefix is a
         // valid (merely earlier) view state, and the unread replies
-        // wait in their channels for the next cycle.
+        // wait in their channels for the next cycle. On a fleet's
+        // service each folded chunk is kept pending until a cycle
+        // completes, because it is in the view whichever cycle folded
+        // it.
         for (i, rx) in replies.iter().enumerate() {
             loop {
                 let reply = match deadline {
@@ -824,6 +864,9 @@ impl<A: ShardAggregate> ShardedService<A> {
                     store.append(&chunk)?;
                 }
                 merged.apply_delta_bytes(&chunk)?;
+                if let Some(pending) = pending.as_mut() {
+                    pending.push(chunk);
+                }
                 if answered == epoch {
                     break;
                 }
@@ -835,8 +878,12 @@ impl<A: ShardAggregate> ShardedService<A> {
         if let Some(store) = store.as_mut() {
             store.maybe_compact(merged)?;
         }
-        let merged = merged.clone();
         let seq = self.snapshots.fetch_add(1, Ordering::Relaxed) + 1;
+        let chunks = pending.as_mut().map(std::mem::take).unwrap_or_default();
+        if let Some(on_epoch) = on_epoch {
+            on_epoch(seq, merged, chunks);
+        }
+        let merged = merged.clone();
         Ok(ServeSnapshot {
             merged,
             seq,

@@ -20,7 +20,7 @@
 //!    the Full→Sampled→Shed ladder moves independently per tenant.
 //! 3. [`FleetService<A>`] — the multi-tenant façade over
 //!    [`ShardedService`]: admission, per-tenant accounting
-//!    ([`TenantStats`]), and an [`EpochRing`] of retained snapshots for
+//!    ([`TenantStats`]), and an [`EpochRing`] of snapshot history for
 //!    time-windowed per-tenant deltas.
 //!
 //! Queue-share accounting rides the supervised worker pipeline: every
@@ -28,13 +28,38 @@
 //! releases when the batch permanently leaves the pipeline (absorbed,
 //! dropped after a double panic, or drained by the crash guard), so
 //! `inflight` is exact even across injected worker crashes.
+//!
+//! # The epoch ring keeps deltas, not views
+//!
+//! Each fleet snapshot moves the `PMTD` delta frames its cycle folded
+//! into the view into the ring, keyed by the snapshot's seq, and
+//! records the seq at which each tenant first appeared in the view.
+//! [`FleetService::tenant_window`] folds one tenant's chunks of the
+//! entries in `(from, to]` into a clone of the empty prototype, which
+//! equals `delta_since` between the two snapshots' views of it. An
+//! epoch costs what its cycle touched (≈1.4 MB on `fleet_absorb`), not
+//! a copy of every view (≈26 MiB there). Four rules keep the frames in
+//! an entry exactly what the view folded since the previous entry:
+//!
+//! - An abandoned deadline cycle may have folded some replies before
+//!   it gave up; the service keeps those frames pending until a cycle
+//!   completes, and that cycle's entry carries them.
+//! - A cycle run on [`FleetService::service`] directly folds frames
+//!   that no entry records. Its seq is missing from the ring, so the
+//!   next fleet snapshot starts the history afresh: windows across the
+//!   gap answer `None`.
+//! - The service hands a cycle's frames to the ring before it releases
+//!   the cycle's lock, so concurrent snapshots retain entries in seq
+//!   order.
+//! - Frames are sized exactly when they are built and kept as they
+//!   are, so an entry carries no spare capacity.
 
 use crate::degrade::{DegradeConfig, DegradeLevel, OverloadController};
 use crate::service::{IngestStats, ServeConfig, ShardAggregate, ShardedService};
 use crate::supervise::Work;
 use profileme_core::{ProfileDatabase, ProfileError};
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -391,9 +416,16 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         let proto = A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?;
         // Each view costs at least an id and a chunk length.
         let count = read_count(bytes, &mut at, 8)?;
-        let mut views = Vec::with_capacity(count);
+        let mut views: Vec<View<A>> = Vec::with_capacity(count);
         for _ in 0..count {
             let id = read_u32(bytes, &mut at)?;
+            // `find` binary-searches the views: a repeated or
+            // out-of-order id would hide tenants from lookups.
+            if views.last().is_some_and(|v| v.id >= id) {
+                return Err(ProfileError::Snapshot {
+                    reason: "tenant checkpoint view ids are not strictly ascending".into(),
+                });
+            }
             let agg = A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?;
             views.push(View {
                 id,
@@ -438,39 +470,30 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         // chunk; everyone else's base view is already identical.
         let mut touched = self.take_marked(IN_TOUCHED);
         touched.sort_unstable();
-        let mut out = Vec::new();
-        out.extend_from_slice(TENANT_DELTA_MAGIC);
-        out.extend_from_slice(&(touched.len() as u32).to_le_bytes());
+        let mut chunks = Vec::with_capacity(touched.len());
         for id in touched {
             let i = self.find(id).expect("marked ids name existing views");
             let bi = base.view_index(id);
-            out.extend_from_slice(&id.to_le_bytes());
-            push_chunk(
-                &mut out,
-                &self.views[i]
-                    .agg
-                    .extract_delta_bytes(&mut base.views[bi].agg)?,
-            );
+            let chunk = self.views[i]
+                .agg
+                .extract_delta_bytes(&mut base.views[bi].agg)?;
+            chunks.push((id, chunk));
         }
         base.take_marked(IN_TOUCHED);
+        // Sized exactly: a fleet's epoch ring keeps this frame as it is.
+        let len = 8 + chunks.iter().map(|(_, c)| 8 + c.len()).sum::<usize>();
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(TENANT_DELTA_MAGIC);
+        out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+        for (id, chunk) in chunks {
+            out.extend_from_slice(&id.to_le_bytes());
+            push_chunk(&mut out, &chunk);
+        }
         Ok(out)
     }
 
     fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), ProfileError> {
-        let mut at = 0usize;
-        let magic = bytes.get(..4).ok_or(ProfileError::Snapshot {
-            reason: "tenant delta truncated".into(),
-        })?;
-        if magic != TENANT_DELTA_MAGIC {
-            return Err(ProfileError::Snapshot {
-                reason: "not a tenant delta (bad magic)".into(),
-            });
-        }
-        at += 4;
-        let count = read_u32(bytes, &mut at)?;
-        for _ in 0..count {
-            let id = read_u32(bytes, &mut at)?;
-            let chunk = read_chunk(bytes, &mut at)?;
+        for (id, chunk) in delta_chunks(bytes)? {
             let i = self.view_index(id);
             self.views[i].agg.apply_delta_bytes(chunk)?;
             self.mark_touched(i);
@@ -479,12 +502,36 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
     }
 }
 
+/// The `(tenant id, chunk)` entries of one `PMTD` delta frame, read
+/// whole before any is used.
+fn delta_chunks(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, ProfileError> {
+    let magic = bytes.get(..4).ok_or(ProfileError::Snapshot {
+        reason: "tenant delta truncated".into(),
+    })?;
+    if magic != TENANT_DELTA_MAGIC {
+        return Err(ProfileError::Snapshot {
+            reason: "not a tenant delta (bad magic)".into(),
+        });
+    }
+    let mut at = 4;
+    // Each entry costs at least an id and a chunk length.
+    let count = read_count(bytes, &mut at, 8)?;
+    let mut chunks = Vec::with_capacity(count);
+    for _ in 0..count {
+        let id = read_u32(bytes, &mut at)?;
+        chunks.push((id, read_chunk(bytes, &mut at)?));
+    }
+    Ok(chunks)
+}
+
 // ---------------------------------------------------------------------
 // Epoch ring
 // ---------------------------------------------------------------------
 
-/// A bounded ring of retained snapshots, keyed by snapshot sequence
+/// A bounded ring of retained entries, keyed by snapshot sequence
 /// number: the history window behind time-windowed per-tenant deltas.
+/// [`FleetService`] keeps one entry per snapshot: the delta frames that
+/// snapshot folded into the view.
 #[derive(Debug)]
 pub struct EpochRing<T> {
     retain: usize,
@@ -509,9 +556,14 @@ impl<T> EpochRing<T> {
         }
     }
 
-    /// The retained snapshot for `seq`, if it has not been evicted.
+    /// The retained entry for `seq`, if it has not been evicted.
     pub fn get(&self, seq: u64) -> Option<&T> {
         self.entries.iter().find(|(s, _)| *s == seq).map(|(_, v)| v)
+    }
+
+    /// Retained entries with their sequence numbers, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.entries.iter().map(|(s, v)| (*s, v))
     }
 
     /// The newest retained entry.
@@ -586,7 +638,11 @@ pub struct FleetConfig {
     /// The Full→Sampled→Shed ladder every tenant walks under its own
     /// pressure.
     pub degrade: DegradeConfig,
-    /// Snapshots retained in the epoch ring for time-windowed deltas.
+    /// Snapshots retained in the epoch ring for time-windowed deltas:
+    /// [`FleetService::tenant_window`] answers between any two of the
+    /// last `epoch_retain` snapshots. Each one costs the delta frames
+    /// its cycle folded into the view — O(rows touched since the
+    /// previous snapshot), not a copy of every tenant's profile.
     pub epoch_retain: usize,
 }
 
@@ -689,6 +745,40 @@ pub struct FleetSnapshot<A: ShardAggregate> {
     pub stats: FleetStats,
 }
 
+/// The fleet's snapshot history, as delta frames rather than copies of
+/// the view. Entry `s` of the ring holds the `PMTD` frames the view
+/// folded between the snapshot before `s` and `s`, in fold order, so
+/// tenant t's profile over `(from, to]` is t's chunks of entries
+/// `from + 1 ..= to` folded into a clone of the empty prototype.
+struct Epochs<A> {
+    ring: EpochRing<Vec<Vec<u8>>>,
+    /// The seq at which each tenant first appeared in the view since
+    /// the ring's history began: a tenant is present at a retained
+    /// seq iff its entry is at or below it.
+    first_seen: BTreeMap<u32, u64>,
+    proto: A,
+}
+
+impl<A: ShardAggregate> Epochs<A> {
+    /// Retains snapshot `seq`'s frames; called while its cycle still
+    /// holds the view, so seqs arrive in order.
+    fn push(&mut self, seq: u64, view: &Tenanted<A>, frames: Vec<Vec<u8>>) {
+        // A missing seq is a cycle run on the inner service directly:
+        // its frames are in the view but in no entry, so no window
+        // may span it. Start the history afresh.
+        if self.ring.latest().is_some_and(|(last, _)| seq != last + 1) {
+            self.ring = EpochRing::new(self.ring.retain());
+            self.first_seen.clear();
+        }
+        // Read from the view, so that tenants recovered from a store
+        // count as present although no frame carries them.
+        for (id, _) in view.tenants() {
+            self.first_seen.entry(id.0).or_insert(seq);
+        }
+        self.ring.push(seq, frames);
+    }
+}
+
 /// The multi-tenant aggregation service: per-tenant admission control
 /// and degradation over one [`ShardedService`] of tenant-keyed
 /// aggregates.
@@ -708,7 +798,7 @@ pub struct FleetService<A: ShardAggregate> {
     tenants: Vec<TenantState>,
     /// The ladder configuration every tenant runs.
     degrade: DegradeConfig,
-    epochs: Mutex<EpochRing<Tenanted<A>>>,
+    epochs: Mutex<Epochs<A>>,
     /// The admission clock's epoch: buckets measure time as
     /// nanoseconds since service start.
     started: Instant,
@@ -728,8 +818,8 @@ impl<A: ShardAggregate> FleetService<A> {
         fleet: FleetConfig,
     ) -> Result<FleetService<A>, ProfileError> {
         fleet.validate()?;
-        let inner = ShardedService::start(Tenanted::new(proto), config)?;
-        Ok(FleetService::assemble(inner, fleet))
+        let inner = ShardedService::start(Tenanted::new(proto.clone()), config)?;
+        Ok(FleetService::assemble(inner, proto, fleet))
     }
 
     /// [`start`](FleetService::start) with a deterministic
@@ -747,11 +837,16 @@ impl<A: ShardAggregate> FleetService<A> {
         plan: crate::faults::FaultPlan,
     ) -> Result<FleetService<A>, ProfileError> {
         fleet.validate()?;
-        let inner = ShardedService::start_with_faults(Tenanted::new(proto), config, plan)?;
-        Ok(FleetService::assemble(inner, fleet))
+        let inner = ShardedService::start_with_faults(Tenanted::new(proto.clone()), config, plan)?;
+        Ok(FleetService::assemble(inner, proto, fleet))
     }
 
-    fn assemble(inner: ShardedService<Tenanted<A>>, fleet: FleetConfig) -> FleetService<A> {
+    fn assemble(
+        inner: ShardedService<Tenanted<A>>,
+        proto: A,
+        fleet: FleetConfig,
+    ) -> FleetService<A> {
+        inner.keep_epoch_chunks();
         let started = Instant::now();
         let mut tenants: Vec<TenantState> = fleet
             .tenants
@@ -771,7 +866,11 @@ impl<A: ShardAggregate> FleetService<A> {
             inner,
             tenants,
             degrade: fleet.degrade,
-            epochs: Mutex::new(EpochRing::new(fleet.epoch_retain)),
+            epochs: Mutex::new(Epochs {
+                ring: EpochRing::new(fleet.epoch_retain),
+                first_seen: BTreeMap::new(),
+                proto,
+            }),
             started,
         }
     }
@@ -860,18 +959,20 @@ impl<A: ShardAggregate> FleetService<A> {
         state.accepted.fetch_add(accepted, Ordering::Relaxed);
     }
 
-    /// One snapshot cycle over the whole fleet; the merged tenant-keyed
-    /// aggregate is additionally retained in the epoch ring for
+    /// One snapshot cycle over the whole fleet. The delta frames the
+    /// cycle folded into the view are moved into the epoch ring for
     /// time-windowed deltas.
     ///
     /// # Errors
     ///
     /// As [`ShardedService::snapshot`].
     pub fn snapshot(&self) -> Result<FleetSnapshot<A>, ProfileError> {
-        let snap = self.inner.snapshot()?;
-        let mut epochs = self.epochs.lock().unwrap_or_else(PoisonError::into_inner);
-        epochs.push(snap.seq, snap.merged.clone());
-        drop(epochs);
+        let snap = self.inner.snapshot_epoch(&mut |seq, view, frames| {
+            self.epochs
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(seq, view, frames);
+        })?;
         Ok(FleetSnapshot {
             merged: snap.merged,
             seq: snap.seq,
@@ -885,17 +986,8 @@ impl<A: ShardAggregate> FleetService<A> {
         self.epochs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .ring
             .seqs()
-    }
-
-    /// A clone of the retained fleet snapshot for `seq`, if it is
-    /// still in the ring.
-    pub fn epoch(&self, seq: u64) -> Option<Tenanted<A>> {
-        self.epochs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(seq)
-            .cloned()
     }
 
     /// Per-tenant and fleet-wide accounting.
@@ -970,16 +1062,26 @@ impl<A: ShardAggregate> FleetService<A> {
 
 impl FleetService<ProfileDatabase> {
     /// The interval delta of one tenant's profile between two retained
-    /// epochs: what that tenant aggregated in `(from_seq, to_seq]`.
-    /// `None` if either epoch left the ring or the tenant is absent at
-    /// `to_seq`; a tenant absent at `from_seq` yields its whole
-    /// profile at `to_seq`.
+    /// snapshots: what that tenant aggregated in `(from_seq, to_seq]`,
+    /// equal to `delta_since` of the two snapshots' views of it.
+    ///
+    /// - `None` if either seq is not in the ring (evicted, never
+    ///   taken, or taken before a snapshot cycle was run on
+    ///   [`service`](FleetService::service) directly), or if the
+    ///   tenant is absent at `to_seq`.
+    /// - A tenant absent at `from_seq` yields its whole profile at
+    ///   `to_seq`; `from_seq == to_seq` yields an empty profile.
+    ///
+    /// The answer folds the tenant's chunks of the retained delta
+    /// frames in `(from_seq, to_seq]` into a clone of the empty
+    /// prototype: O(rows the tenant touched in the window).
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileError::Mismatch`] if the retained snapshots
-    /// are inconsistent (which would indicate a bug in the snapshot
-    /// plane).
+    /// Returns [`ProfileError::Mismatch`] if `from_seq > to_seq` and
+    /// the tenant's profile changed in between (counters would go
+    /// negative), or if a retained frame does not parse (which would
+    /// indicate a bug in the snapshot plane).
     pub fn tenant_window(
         &self,
         tenant: TenantId,
@@ -987,15 +1089,72 @@ impl FleetService<ProfileDatabase> {
         to_seq: u64,
     ) -> Result<Option<ProfileDatabase>, ProfileError> {
         let epochs = self.epochs.lock().unwrap_or_else(PoisonError::into_inner);
-        let (Some(from), Some(to)) = (epochs.get(from_seq), epochs.get(to_seq)) else {
+        let retained = epochs.ring.get(from_seq).is_some() && epochs.ring.get(to_seq).is_some();
+        let present = epochs
+            .first_seen
+            .get(&tenant.0)
+            .is_some_and(|&first| first <= to_seq);
+        if !retained || !present {
             return Ok(None);
-        };
-        let Some(later) = to.tenant(tenant) else {
-            return Ok(None);
-        };
-        match from.tenant(tenant) {
-            None => Ok(Some(later.clone())),
-            Some(earlier) => later.delta_since(earlier).map(Some),
+        }
+        let (lo, hi) = (from_seq.min(to_seq), from_seq.max(to_seq));
+        let mut window = epochs.proto.clone();
+        for (_, frames) in epochs.ring.iter().filter(|&(seq, _)| lo < seq && seq <= hi) {
+            for frame in frames {
+                let chunks = delta_chunks(frame)?;
+                if let Some((_, chunk)) = chunks.iter().find(|(id, _)| *id == tenant.0) {
+                    window.apply_delta(chunk)?;
+                }
+            }
+        }
+        if from_seq > to_seq && window != epochs.proto {
+            return Err(ProfileError::Mismatch {
+                what: "snapshot order (counters would go negative)",
+            });
+        }
+        Ok(Some(window))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use profileme_core::{ProfileMeConfig, Session};
+
+    /// The ring keeps each frame exactly as the workers built it, so a
+    /// frame must carry no spare capacity: at ~21 bytes a touched row,
+    /// a reserve of twice that would double what every epoch costs.
+    #[test]
+    fn retained_frames_carry_no_spare_capacity() {
+        let w = profileme_workloads::ijpeg(300);
+        let run = Session::builder(w.program.clone())
+            .memory(w.memory)
+            .sampling(ProfileMeConfig {
+                mean_interval: 8,
+                ..Default::default()
+            })
+            .build()
+            .unwrap()
+            .profile_single()
+            .unwrap();
+        let svc = FleetService::start(
+            ProfileDatabase::new(&w.program, run.db.interval()),
+            ServeConfig::builder().shards(2).build().unwrap(),
+            FleetConfig::uniform(3, TenantQuota::default()),
+        )
+        .unwrap();
+        for (i, batch) in run.samples.chunks(50).enumerate() {
+            svc.ingest_batch(TenantId(i as u32 % 3), batch.to_vec())
+                .unwrap();
+            if i % 3 == 2 {
+                svc.snapshot().unwrap();
+            }
+        }
+        let epochs = svc.epochs.lock().unwrap();
+        let frames: Vec<&Vec<u8>> = epochs.ring.iter().flat_map(|(_, f)| f).collect();
+        assert!(frames.iter().any(|f| f.len() > 100), "nothing was retained");
+        for frame in frames {
+            assert_eq!(frame.capacity(), frame.len());
         }
     }
 }

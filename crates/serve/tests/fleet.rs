@@ -9,9 +9,11 @@
 //!   (including the pending touched set, so a worker crash between an
 //!   absorb and the next delta extraction loses nothing), and its
 //!   deltas apply cleanly onto an empty base.
-//! * **Epoch ring** — retained snapshots answer time-windowed
-//!   per-tenant deltas (`earlier ⊕ window == later`, byte for byte)
-//!   and evict oldest-first.
+//! * **Epoch ring** — retained delta frames answer time-windowed
+//!   per-tenant deltas (`earlier ⊕ window == later`, byte for byte,
+//!   equal to `delta_since` of the returned snapshots across abandoned
+//!   deadline cycles, inner cycles, concurrent snapshots and a restart
+//!   from a store) and evict oldest-first.
 //! * **TCP front-end** — a producer client survives a server stop and
 //!   restart via retry/backoff, and no acknowledged sample is lost
 //!   across the restart (the durable store carries acked history);
@@ -296,6 +298,34 @@ fn corrupt_tenant_checkpoint_counts_fail_the_decode() {
     }
 }
 
+/// `Tenanted` finds a tenant by binary search over its view ids, so an
+/// image whose ids repeat or run backwards is refused, not loaded into
+/// a view list that lookups would miss.
+#[test]
+fn tenant_checkpoints_with_repeated_or_unordered_view_ids_are_refused() {
+    let s = stream();
+    let mut agg = Tenanted::new(proto());
+    agg.absorb(&(TenantId(3), s.samples[0].clone()));
+    agg.absorb(&(TenantId(5), s.samples[1].clone()));
+    let image = agg.checkpoint_bytes().expect("checkpoint serializes");
+    // magic, prototype chunk, view count, then (id, chunk) per view.
+    let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+    let first_id = 4 + 4 + u32_at(4) as usize + 4;
+    let second_id = first_id + 4 + 4 + u32_at(first_id + 4) as usize;
+    assert_eq!((u32_at(first_id), u32_at(second_id)), (3, 5));
+    for (a, b) in [(3, 3), (5, 3)] {
+        let mut bad = image.clone();
+        bad[first_id..first_id + 4].copy_from_slice(&u32::to_le_bytes(a));
+        bad[second_id..second_id + 4].copy_from_slice(&u32::to_le_bytes(b));
+        assert!(
+            Tenanted::<ProfileDatabase>::from_checkpoint_bytes(&bad).is_err(),
+            "view ids {a}, {b} were accepted"
+        );
+    }
+    let back = Tenanted::<ProfileDatabase>::from_checkpoint_bytes(&image).expect("decodes");
+    assert!(back.tenant(TenantId(5)).is_some());
+}
+
 /// A fleet store holding no tenant views still names its prototype's
 /// program: opening it for another is refused, because every view
 /// created later would be cloned from the stored prototype.
@@ -380,10 +410,12 @@ fn epoch_ring_answers_tenant_windows_and_evicts_oldest() {
     .expect("fleet starts");
 
     svc.ingest_batch(TenantId(0), first.to_vec()).unwrap();
-    let s1 = svc.snapshot().expect("snapshot").seq;
+    let snap = svc.snapshot().expect("snapshot");
+    let (s1, earlier) = (snap.seq, snap.merged);
     svc.ingest_batch(TenantId(0), second.to_vec()).unwrap();
     svc.ingest_batch(TenantId(1), first.to_vec()).unwrap();
-    let s2 = svc.snapshot().expect("snapshot").seq;
+    let snap = svc.snapshot().expect("snapshot");
+    let (s2, later) = (snap.seq, snap.merged);
     assert_eq!(svc.epoch_seqs(), vec![s1, s2]);
 
     // earlier ⊕ window == later, byte for byte.
@@ -392,8 +424,6 @@ fn epoch_ring_answers_tenant_windows_and_evicts_oldest() {
         .expect("epochs consistent")
         .expect("both epochs retained");
     assert_eq!(window.total_samples, second.len() as u64);
-    let earlier = svc.epoch(s1).expect("retained");
-    let later = svc.epoch(s2).expect("retained");
     let mut reconstructed = earlier.tenant(TenantId(0)).expect("present").clone();
     reconstructed.merge(&window).expect("delta merges");
     assert_eq!(
@@ -415,13 +445,324 @@ fn epoch_ring_answers_tenant_windows_and_evicts_oldest() {
     // A third snapshot evicts the oldest epoch (retain = 2).
     let s3 = svc.snapshot().expect("snapshot").seq;
     assert_eq!(svc.epoch_seqs(), vec![s2, s3]);
-    assert!(svc.epoch(s1).is_none(), "s1 evicted");
+    assert!(!svc.epoch_seqs().contains(&s1), "s1 evicted");
     assert!(
         svc.tenant_window(TenantId(0), s1, s3)
             .expect("consistent")
             .is_none(),
         "a window over an evicted epoch is None, not wrong"
     );
+    drop(svc.shutdown());
+}
+
+/// The answer a window query owes: `tenant`'s `delta_since` between the
+/// views two returned snapshots carried, `None` when the tenant is
+/// absent from the later one, its whole profile when absent from the
+/// earlier one, and an error when `from` is the later of the two and
+/// the profile moved in between.
+fn expected_window(
+    from: &Tenanted<ProfileDatabase>,
+    to: &Tenanted<ProfileDatabase>,
+    tenant: TenantId,
+) -> Result<Option<ProfileDatabase>, profileme_core::ProfileError> {
+    let Some(later) = to.tenant(tenant) else {
+        return Ok(None);
+    };
+    match from.tenant(tenant) {
+        None => Ok(Some(later.clone())),
+        Some(earlier) => later.delta_since(earlier).map(Some),
+    }
+}
+
+/// Every retained `(from, to)` pair, in both orders, answers for every
+/// tenant what the returned snapshots say; a returned seq that left the
+/// ring answers `None`.
+fn check_windows(
+    svc: &FleetService<ProfileDatabase>,
+    returned: &std::collections::BTreeMap<u64, Tenanted<ProfileDatabase>>,
+) {
+    let retained = svc.epoch_seqs();
+    let tenants = [TenantId(0), TenantId(1), TenantId(2), TenantId(7)];
+    for &from in &retained {
+        for &to in &retained {
+            for tenant in tenants {
+                let served = svc.tenant_window(tenant, from, to);
+                let expected = expected_window(&returned[&from], &returned[&to], tenant);
+                match (served, expected) {
+                    (Err(_), Err(_)) | (Ok(None), Ok(None)) => {}
+                    (Ok(Some(s)), Ok(Some(e))) => assert_eq!(
+                        encoded(&s),
+                        encoded(&e),
+                        "{tenant} window ({from}, {to}] differs"
+                    ),
+                    (s, e) => panic!("{tenant} window ({from}, {to}]: served {s:?}, owed {e:?}"),
+                }
+            }
+        }
+    }
+    let Some(&newest) = retained.last() else {
+        return;
+    };
+    for &gone in returned.keys().filter(|s| !retained.contains(s)) {
+        for tenant in tenants {
+            assert!(svc.tenant_window(tenant, gone, newest).unwrap().is_none());
+            assert!(svc.tenant_window(tenant, newest, gone).unwrap().is_none());
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// `samples[at..at + len]` for one tenant.
+    Ingest(u32, usize, usize),
+    /// `FleetService::snapshot`.
+    Snapshot,
+    /// A deadline cycle on the inner service that gives up at once:
+    /// it folds whatever replies an earlier abandoned cycle left, then
+    /// usually misses its own.
+    Abandon,
+    /// A complete cycle on the inner service, which no epoch records.
+    Inner,
+}
+
+/// Ingests weigh twice as much as each other step.
+fn op() -> impl proptest::Strategy<Value = Op> {
+    use proptest::prelude::*;
+    let ingest = || (0u32..3, 0usize..400, 1usize..40).prop_map(|(t, at, n)| Op::Ingest(t, at, n));
+    prop_oneof![
+        ingest(),
+        ingest(),
+        Just(Op::Snapshot),
+        Just(Op::Snapshot),
+        Just(Op::Abandon),
+        Just(Op::Inner),
+    ]
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+    /// Windows folded from the delta ring equal `delta_since` of the
+    /// snapshots the fleet returned, over random schedules of ingests,
+    /// fleet snapshots, abandoned deadline cycles and out-of-band inner
+    /// cycles.
+    #[test]
+    fn delta_ring_windows_equal_delta_since_of_returned_snapshots(
+        ops in proptest::collection::vec(op(), 4..28),
+    ) {
+        let svc = FleetService::start(
+            proto(),
+            ServeConfig::builder().shards(2).build().unwrap(),
+            FleetConfig {
+                tenants: (0..3).map(|t| (TenantId(t), unmetered())).collect(),
+                epoch_retain: 3,
+                ..FleetConfig::default()
+            },
+        )
+        .expect("fleet starts");
+        let samples = &stream().samples;
+        let mut returned = std::collections::BTreeMap::new();
+        for op in ops.into_iter().chain([Op::Snapshot]) {
+            match op {
+                Op::Ingest(t, at, n) => {
+                    svc.ingest_batch(TenantId(t), samples[at..at + n].to_vec()).unwrap();
+                }
+                Op::Snapshot => {
+                    let snap = svc.snapshot().expect("snapshot");
+                    returned.insert(snap.seq, snap.merged);
+                    check_windows(&svc, &returned);
+                }
+                Op::Abandon => {
+                    let replies = || svc.stats().service.deltas_published;
+                    let before = replies();
+                    drop(svc.service().snapshot_deadline(Duration::ZERO));
+                    // Let both shards answer, so that the next cycle
+                    // folds these replies first: a next abandoned cycle
+                    // folds some of them, then gives up.
+                    let waited = std::time::Instant::now();
+                    while replies() < before + 2 && waited.elapsed() < Duration::from_secs(2) {
+                        std::thread::yield_now();
+                    }
+                }
+                Op::Inner => drop(svc.service().snapshot().expect("inner snapshot")),
+            }
+        }
+        drop(svc.shutdown());
+    }
+}
+
+/// A tenant recovered from a store is present from the first snapshot
+/// on, though no retained delta frame carries it: with no new data its
+/// window is empty, not `None`.
+#[test]
+fn a_tenant_recovered_from_a_store_with_no_new_data_gets_an_empty_window() {
+    let dir = std::env::temp_dir().join(format!(
+        "pm-fleet-window-restart-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    drop(std::fs::remove_dir_all(&dir));
+    let s = stream();
+    let start = || {
+        FleetService::start(
+            proto(),
+            ServeConfig::builder()
+                .shards(2)
+                .data_dir(&dir)
+                .build()
+                .unwrap(),
+            FleetConfig::uniform(2, unmetered()),
+        )
+        .expect("fleet starts")
+    };
+    let svc = start();
+    svc.ingest_batch(TenantId(0), s.samples[..100].to_vec())
+        .unwrap();
+    svc.snapshot().expect("snapshot");
+    drop(svc.shutdown());
+
+    let svc = start();
+    let first = svc.snapshot().expect("snapshot");
+    svc.ingest_batch(TenantId(1), s.samples[100..150].to_vec())
+        .unwrap();
+    let second = svc.snapshot().expect("snapshot");
+    let (s1, s2) = (first.seq, second.seq);
+    assert_eq!(svc.epoch_seqs(), vec![s1, s2]);
+    for (from, to) in [(s1, s2), (s1, s1), (s2, s2)] {
+        let window = svc
+            .tenant_window(TenantId(0), from, to)
+            .expect("consistent")
+            .expect("tenant 0 was recovered, so it is present");
+        assert_eq!(encoded(&window), encoded(&proto()), "({from}, {to}]");
+    }
+    let fresh = svc
+        .tenant_window(TenantId(1), s1, s2)
+        .expect("consistent")
+        .expect("tenant 1 is present at s2");
+    assert_eq!(encoded(&fresh), encoded(&direct(&s.samples[100..150])));
+    assert!(svc
+        .tenant_window(TenantId(1), s1, s1)
+        .expect("consistent")
+        .is_none());
+    drop(svc.shutdown());
+    drop(std::fs::remove_dir_all(&dir));
+}
+
+/// A snapshot cycle run on the inner service folds frames no epoch
+/// records, so the ring starts afresh after it: windows across it
+/// answer `None`, windows after it stay exact.
+#[test]
+fn an_inner_snapshot_cycle_ends_the_window_history() {
+    let s = stream();
+    let svc = FleetService::start(
+        proto(),
+        ServeConfig::builder().shards(2).build().unwrap(),
+        FleetConfig::uniform(1, unmetered()),
+    )
+    .expect("fleet starts");
+    svc.ingest_batch(TenantId(0), s.samples[..50].to_vec())
+        .unwrap();
+    let s1 = svc.snapshot().expect("snapshot").seq;
+    svc.ingest_batch(TenantId(0), s.samples[50..100].to_vec())
+        .unwrap();
+    svc.service().snapshot().expect("inner snapshot");
+    svc.ingest_batch(TenantId(0), s.samples[100..150].to_vec())
+        .unwrap();
+    let s3 = svc.snapshot().expect("snapshot").seq;
+    svc.ingest_batch(TenantId(0), s.samples[150..200].to_vec())
+        .unwrap();
+    let s4 = svc.snapshot().expect("snapshot").seq;
+    assert_eq!(svc.epoch_seqs(), vec![s3, s4]);
+    assert!(svc
+        .tenant_window(TenantId(0), s1, s4)
+        .expect("consistent")
+        .is_none());
+    let window = svc
+        .tenant_window(TenantId(0), s3, s4)
+        .expect("consistent")
+        .expect("retained");
+    assert_eq!(encoded(&window), encoded(&direct(&s.samples[150..200])));
+    drop(svc.shutdown());
+}
+
+/// Two threads snapshotting at once retain their epochs in seq order,
+/// with no gap, and the windows between them stay exact. A stress
+/// test: a barrier starts both together, and forty cycles contend for
+/// the cycle lock.
+#[test]
+fn concurrent_fleet_snapshots_retain_epochs_in_seq_order() {
+    let svc = Arc::new(
+        FleetService::start(
+            proto(),
+            ServeConfig::builder().shards(2).build().unwrap(),
+            FleetConfig {
+                tenants: vec![(TenantId(0), unmetered())],
+                epoch_retain: 64,
+                ..FleetConfig::default()
+            },
+        )
+        .expect("fleet starts"),
+    );
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let takers: Vec<_> = (0..2)
+        .map(|_| {
+            let svc = Arc::clone(&svc);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                (0..20)
+                    .map(|i| {
+                        svc.ingest_batch(TenantId(0), stream().samples[i * 10..][..10].to_vec())
+                            .unwrap();
+                        let snap = svc.snapshot().expect("snapshot");
+                        (snap.seq, snap.merged)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let returned: std::collections::BTreeMap<_, _> = takers
+        .into_iter()
+        .flat_map(|t| t.join().expect("snapshot thread"))
+        .collect();
+    let seqs = svc.epoch_seqs();
+    assert_eq!(seqs, returned.keys().copied().collect::<Vec<_>>());
+    assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "{seqs:?}");
+    check_windows(&svc, &returned);
+}
+
+/// A deadline cycle that folded one shard's reply and then gave up
+/// leaves that chunk in the view; the next completed cycle's epoch must
+/// carry it, or the window would miss it.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn an_abandoned_cycle_s_folded_chunks_belong_to_the_next_epoch() {
+    use profileme_serve::FaultPlan;
+
+    let s = stream();
+    // Shard 1's first batch takes 400 ms to absorb.
+    let plan = FaultPlan::parse("delay:shard=1:nth=1:ms=400").expect("plan parses");
+    let svc = FleetService::start_with_faults(
+        proto(),
+        ServeConfig::builder().shards(2).build().unwrap(),
+        FleetConfig::uniform(1, unmetered()),
+        plan,
+    )
+    .expect("fleet starts");
+    let s0 = svc.snapshot().expect("snapshot").seq;
+    // Round-robin: the first batch lands on shard 0, the second on 1.
+    svc.ingest_batch(TenantId(0), s.samples[..60].to_vec())
+        .unwrap();
+    svc.ingest_batch(TenantId(0), s.samples[60..120].to_vec())
+        .unwrap();
+    let missed = svc.service().snapshot_deadline(Duration::from_millis(100));
+    assert!(missed.is_err(), "shard 1 is still absorbing");
+    let s1 = svc.snapshot().expect("snapshot").seq;
+    let window = svc
+        .tenant_window(TenantId(0), s0, s1)
+        .expect("consistent")
+        .expect("retained");
+    assert_eq!(encoded(&window), encoded(&direct(&s.samples[..120])));
     drop(svc.shutdown());
 }
 
